@@ -218,7 +218,6 @@ impl JobSnapshot {
 /// allocation (see `dynaplace-apc`'s score cache).
 #[derive(Debug, Clone)]
 pub struct JobColumn {
-    u_max: Rp,
     /// `w[i]`: speed needed to achieve `grid[i]` (MHz).
     w: Vec<f64>,
     /// `v[i]`: the (capped) performance at that row.
@@ -252,7 +251,7 @@ impl JobColumn {
             w.push(job.demand_for(now, target).as_mhz());
             v.push(target.value());
         }
-        Self { u_max: cap, w, v }
+        Self { w, v }
     }
 
     /// Number of grid rows sampled.
@@ -268,7 +267,6 @@ impl JobColumn {
 pub struct HypotheticalRpf {
     now: SimTime,
     apps: Vec<AppId>,
-    u_max: Vec<Rp>,
     /// `w[i][m]`: speed job `m` needs to achieve `grid[i]` (MHz).
     w: Vec<Vec<f64>>,
     /// `v[i][m]`: the (capped) performance at that row.
@@ -318,7 +316,6 @@ impl HypotheticalRpf {
     /// Panics if any column was sampled on a different number of rows.
     pub fn from_columns(now: SimTime, columns: &[(AppId, Arc<JobColumn>)], rows: usize) -> Self {
         let apps: Vec<AppId> = columns.iter().map(|(app, _)| *app).collect();
-        let u_max: Vec<Rp> = columns.iter().map(|(_, c)| c.u_max).collect();
         for (_, c) in columns {
             assert_eq!(c.rows(), rows, "columns must share the sampling grid");
         }
@@ -342,7 +339,6 @@ impl HypotheticalRpf {
         Self {
             now,
             apps,
-            u_max,
             w,
             v,
             row_sums,
@@ -371,19 +367,6 @@ impl HypotheticalRpf {
     #[inline]
     pub fn apps(&self) -> &[AppId] {
         &self.apps
-    }
-
-    /// Per-job maximum achievable performance.
-    #[inline]
-    pub fn u_max_values(&self) -> &[Rp] {
-        &self.u_max
-    }
-
-    /// The aggregate speed all jobs together need so that every job
-    /// achieves performance `min(u, u_max_m)` — the continuous analogue
-    /// of a `W` row sum, used by the load distributor's water-filling.
-    pub fn aggregate_demand_at(&self, u: Rp, jobs: &[JobSnapshot]) -> CpuSpeed {
-        jobs.iter().map(|j| j.demand_for(self.now, u)).sum()
     }
 
     /// Predicts each job's relative performance when the batch workload

@@ -1,7 +1,5 @@
 //! Property-based tests for the FCFS and EDF baseline schedulers.
 
-#![deny(deprecated)]
-
 use dynaplace_batch::baselines::{edf_schedule, fcfs_schedule, BaselineJob, NodeCapacity};
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::placement::Placement;

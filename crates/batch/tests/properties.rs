@@ -1,7 +1,5 @@
 //! Property-based tests for the hypothetical relative performance model.
 
-#![deny(deprecated)]
-
 use std::sync::Arc;
 
 use dynaplace_batch::hypothetical::{evaluate_batch_placement, HypotheticalRpf, JobSnapshot};

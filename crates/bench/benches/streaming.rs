@@ -18,9 +18,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynaplace_json::obj;
 use dynaplace_sim::spec::{
-    BatchStreamSpec, GoalSpec, NodeGroupSpec, ProcessSpec, ScenarioSpec, WorkloadSpec,
+    BatchStreamSpec, JobShapeSpec, NodeGroupSpec, ScenarioSpec, WorkloadSpec,
 };
-use dynaplace_sim::{MetricsRetention, RunMetrics};
+use dynaplace_sim::{ArrivalProcess, GoalSubmission, MetricsRetention, RunMetrics};
 
 /// A purely generative scenario: `jobs` Poisson arrivals over a
 /// `nodes`-node homogeneous cluster, ending when the capped stream
@@ -45,15 +45,17 @@ fn streaming_spec(nodes: usize, jobs: u64) -> ScenarioSpec {
         workload: Some(WorkloadSpec {
             batch_streams: vec![BatchStreamSpec {
                 name: None,
-                process: ProcessSpec::Poisson { rate_per_sec: 10.0 },
+                process: ArrivalProcess::Poisson { rate_per_sec: 10.0 },
                 count: Some(jobs),
-                work_mcycles: 6_000.0,
-                max_speed_mhz: 600.0,
-                memory_mb: 256.0,
-                goal: GoalSpec::Factor(20.0),
-                tasks: 1,
-                class: None,
-                resources: Default::default(),
+                shape: JobShapeSpec {
+                    work_mcycles: 6_000.0,
+                    max_speed_mhz: 600.0,
+                    memory_mb: 256.0,
+                    goal: GoalSubmission::Factor(20.0),
+                    tasks: 1,
+                    class: None,
+                    resources: Default::default(),
+                },
             }],
             txn_streams: vec![],
         }),

@@ -37,7 +37,7 @@ fn run_cell(spec: &ScenarioSpec, policy: &dynaplace_apc::PolicyHandle) -> String
         spec.observation = None;
         spec.sharding = None;
         spec.deadline_secs = None;
-        if spec.jobs.iter().any(|g| g.tasks > 1) {
+        if spec.jobs.iter().any(|g| g.shape.tasks > 1) {
             // Parallel jobs are an APC-only feature; no comparable run.
             return "—".to_string();
         }

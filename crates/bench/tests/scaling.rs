@@ -7,8 +7,6 @@
 //! cargo test --release -p dynaplace-bench --test scaling -- --ignored --nocapture
 //! ```
 
-#![deny(deprecated)]
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;

@@ -129,11 +129,6 @@ impl PolicyHandle {
         PolicyHandle(Arc::new(policy))
     }
 
-    /// Wraps an already-shared policy.
-    pub fn from_arc(policy: Arc<dyn PlacementPolicy>) -> Self {
-        PolicyHandle(policy)
-    }
-
     /// The default APC policy: [`ApcConfig::default`], with
     /// between-cycle advice on (the configuration scenario JSON builds).
     pub fn apc() -> Self {

@@ -33,14 +33,6 @@ impl WorkloadModel {
             WorkloadModel::Transactional(_) => None,
         }
     }
-
-    /// The transactional model, if this is a transactional application.
-    pub fn as_transactional(&self) -> Option<&TxnPerformanceModel> {
-        match self {
-            WorkloadModel::Transactional(m) => Some(m),
-            WorkloadModel::Batch(_) => None,
-        }
-    }
 }
 
 /// A structural defect in a [`PlacementProblem`], reported by the
@@ -223,11 +215,6 @@ impl<'a> PlacementProblem<'a> {
         })
     }
 
-    /// Live application ids, in id order.
-    pub fn live_apps(&self) -> impl Iterator<Item = AppId> + '_ {
-        self.workloads.keys().copied()
-    }
-
     /// Number of live applications.
     pub fn live_count(&self) -> usize {
         self.workloads.len()
@@ -308,28 +295,6 @@ impl<'a> PlacementProblem<'a> {
                 Ok((CpuSpeed::ZERO, spec.max_instance_speed()))
             }
         }
-    }
-
-    /// The memory one instance of `app` pins right now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is not live or not registered.
-    #[deprecated(since = "0.5.0", note = "use `try_effective_memory` instead")]
-    pub fn effective_memory(&self, app: AppId) -> Memory {
-        self.try_effective_memory(app)
-            .expect("live app is registered")
-    }
-
-    /// Per-instance speed bounds of `app` right now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is not live or not registered.
-    #[deprecated(since = "0.5.0", note = "use `try_effective_speed_bounds` instead")]
-    pub fn effective_speed_bounds(&self, app: AppId) -> (CpuSpeed, CpuSpeed) {
-        self.try_effective_speed_bounds(app)
-            .expect("live app is registered")
     }
 
     /// Whether `app` may be placed on `node` per its static constraints

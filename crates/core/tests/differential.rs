@@ -18,8 +18,6 @@
 //! name, so failures reproduce without a `proptest-regressions` file
 //! (none is ever written); `PROPTEST_CASES` scales the case count.
 
-#![deny(deprecated)]
-
 use dynaplace_apc::optimizer::{fill_only, place, ApcConfig, PlacementOutcome, ScoringMode};
 use dynaplace_apc::{score_placement, score_placement_cached, ScoreCache};
 use dynaplace_model::ids::NodeId;

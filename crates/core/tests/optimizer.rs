@@ -1,8 +1,6 @@
 //! Behavioural tests of the placement optimizer, including the paper's
 //! §4.3 worked example as golden cases.
 
-#![deny(deprecated)]
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

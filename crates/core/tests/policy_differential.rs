@@ -25,8 +25,6 @@
 //! Floats are compared through `to_bits`, so even a last-ulp divergence
 //! fails.
 
-#![deny(deprecated)]
-
 use dynaplace_apc::optimizer::{fill_only, place, ApcConfig, PlacementOutcome, ScoringMode};
 use dynaplace_apc::policy::PolicyHandle;
 use dynaplace_apc::{policy_handles, ShardingPolicy};

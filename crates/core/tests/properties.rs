@@ -3,8 +3,6 @@
 //! invariant, and the load distributor must be max-min optimal against a
 //! brute-force reference on small instances.
 
-#![deny(deprecated)]
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -22,8 +22,6 @@
 //! The vendored deterministic proptest derives its seed from the test
 //! name, so failures reproduce without a regressions file.
 
-#![deny(deprecated)]
-
 use std::sync::Arc;
 
 use dynaplace_apc::optimizer::{fill_only, place, ApcConfig, PlacementOutcome, ScoringMode};

@@ -15,8 +15,6 @@
 //!    application too large for any cell escalates to the global
 //!    residual problem instead of livelocking the greedy pack.
 
-#![deny(deprecated)]
-
 use std::collections::BTreeSet;
 
 use dynaplace_apc::optimizer::{fill_only, place, ApcConfig, PlacementOutcome, ScoringMode};

@@ -11,8 +11,6 @@
 //!   is raised above the achievable gain, visible both in the final
 //!   placement and in the `RebalanceMove` trace events.
 
-#![deny(deprecated)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::sync::Mutex;

@@ -1,7 +1,5 @@
 //! Property-based tests for the cluster model.
 
-#![deny(deprecated)]
-
 use dynaplace_model::prelude::*;
 use proptest::prelude::*;
 

@@ -1,7 +1,5 @@
 //! Property-based tests for the RPF framework.
 
-#![deny(deprecated)]
-
 use std::cmp::Ordering;
 
 use dynaplace_model::ids::AppId;

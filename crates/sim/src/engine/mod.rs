@@ -61,8 +61,6 @@ mod reconcile;
 mod sample;
 mod telemetry;
 
-#[allow(deprecated)]
-pub use config::SchedulerKind;
 pub use config::{EstimationNoise, MetricsRetention, NodeOutage, SimConfig, DEFAULT_STALL_LIMIT};
 
 #[derive(Debug)]

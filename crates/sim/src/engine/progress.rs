@@ -206,9 +206,4 @@ impl Simulation {
             },
         );
     }
-
-    /// Consumed work of a job (test/diagnostic hook).
-    pub fn job_consumed(&self, app: AppId) -> Option<Work> {
-        self.jobs.get(&app).map(|j| j.state.consumed())
-    }
 }

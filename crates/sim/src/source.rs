@@ -25,9 +25,9 @@ use dynaplace_txn::workload::ArrivalPattern;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How a streamed job's deadline is derived (mirrors the scenario
-/// `goal` block; the engine resolves it against the job's profile at
-/// admission).
+/// How a job's deadline is derived — the scenario `goal` block of either
+/// job list; the engine resolves it against the job's profile at
+/// admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GoalSubmission {
     /// Deadline = arrival + factor × best execution time.
@@ -301,8 +301,8 @@ impl ArrivalProcess {
     }
 }
 
-/// The per-job template of one generated batch stream: every arrival
-/// the stream yields is an instance of this shape.
+/// The per-job template of a classic job group or a generated batch
+/// stream: every job either submits is an instance of this shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobTemplate {
     /// Total work per job, megacycles.
@@ -319,6 +319,24 @@ pub struct JobTemplate {
     pub class: Option<String>,
     /// Demand in the cluster's extra rigid dimensions, registry order.
     pub extra_rigid: Vec<f64>,
+}
+
+impl JobTemplate {
+    /// One job of this shape arriving at `arrival`, under the
+    /// pre-assigned `id` (replay sources) or none (assign at admission).
+    pub(crate) fn instantiate(&self, id: Option<AppId>, arrival: SimTime) -> JobSubmission {
+        JobSubmission {
+            id,
+            arrival,
+            work_mcycles: self.work_mcycles,
+            max_speed_mhz: self.max_speed_mhz,
+            memory_mb: self.memory_mb,
+            goal: self.goal,
+            tasks: self.tasks,
+            class: self.class.clone(),
+            extra_rigid: self.extra_rigid.clone(),
+        }
+    }
 }
 
 /// One generated batch stream: an arrival process, a job template, and
@@ -470,18 +488,8 @@ impl WorkloadSource for GenerativeSource {
         }
         let i = self.earliest_stream()?;
         let arrival = self.streams[i].pending.take()?;
-        let template = &self.streams[i].template;
-        Some(Submission::Job(JobSubmission {
-            id: None,
-            arrival,
-            work_mcycles: template.work_mcycles,
-            max_speed_mhz: template.max_speed_mhz,
-            memory_mb: template.memory_mb,
-            goal: template.goal,
-            tasks: template.tasks,
-            class: template.class.clone(),
-            extra_rigid: template.extra_rigid.clone(),
-        }))
+        let job = self.streams[i].template.instantiate(None, arrival);
+        Some(Submission::Job(job))
     }
 }
 
@@ -647,47 +655,11 @@ mod tests {
 
     #[test]
     fn merged_source_orders_children_and_breaks_ties_low_first() {
-        let classic = ScenarioSource::from_parts(
-            vec![
-                Submission::Job(JobSubmission {
-                    id: Some(AppId::new(0)),
-                    arrival: SimTime::from_secs(5.0),
-                    work_mcycles: 1.0,
-                    max_speed_mhz: 1.0,
-                    memory_mb: 1.0,
-                    goal: GoalSubmission::Factor(1.0),
-                    tasks: 1,
-                    class: None,
-                    extra_rigid: Vec::new(),
-                }),
-                Submission::Job(JobSubmission {
-                    id: Some(AppId::new(1)),
-                    arrival: SimTime::from_secs(10.0),
-                    work_mcycles: 1.0,
-                    max_speed_mhz: 1.0,
-                    memory_mb: 1.0,
-                    goal: GoalSubmission::Factor(1.0),
-                    tasks: 1,
-                    class: None,
-                    extra_rigid: Vec::new(),
-                }),
-            ],
-            2,
-        );
-        let gen_only = ScenarioSource::from_parts(
-            vec![Submission::Job(JobSubmission {
-                id: None,
-                arrival: SimTime::from_secs(5.0),
-                work_mcycles: 2.0,
-                max_speed_mhz: 1.0,
-                memory_mb: 1.0,
-                goal: GoalSubmission::Factor(1.0),
-                tasks: 1,
-                class: None,
-                extra_rigid: Vec::new(),
-            })],
-            0,
-        );
+        let job = |id: Option<u32>, secs: f64| {
+            Submission::Job(template().instantiate(id.map(AppId::new), SimTime::from_secs(secs)))
+        };
+        let classic = ScenarioSource::from_parts(vec![job(Some(0), 5.0), job(Some(1), 10.0)], 2);
+        let gen_only = ScenarioSource::from_parts(vec![job(None, 5.0)], 0);
         let mut merged = MergedSource::new();
         merged.push(Box::new(classic));
         merged.push(Box::new(gen_only));

@@ -14,7 +14,7 @@ use dynaplace_model::node::NodeSpec;
 use dynaplace_model::resources::{ResourceDims, Resources};
 use dynaplace_model::units::{CpuSpeed, SimDuration, SimTime};
 
-use dynaplace_txn::workload::{ConstantRate, SinusoidPattern, StepPattern};
+use dynaplace_txn::workload::{ArrivalPattern, ConstantRate, SinusoidPattern, StepPattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,8 +28,8 @@ use crate::costs::VmCostModel;
 use crate::engine::{NodeOutage, SimConfig, Simulation};
 use crate::observe::{DegradedMode, ObservationConfig};
 use crate::source::{
-    ArrivalProcess, GenerativeSource, GoalSubmission, JobSubmission, JobTemplate, MergedSource,
-    ScenarioSource, Submission, TxnSubmission, WorkloadSource,
+    ArrivalProcess, GenerativeSource, GoalSubmission, JobTemplate, MergedSource, ScenarioSource,
+    Submission, TxnSubmission, WorkloadSource,
 };
 
 /// A group of identical nodes.
@@ -54,46 +54,10 @@ pub struct NodeGroupSpec {
     pub resources: BTreeMap<String, f64>,
 }
 
-/// Which scheduler drives the run.
-///
-/// Retired: [`ScenarioSpec::scheduler`] is a policy *name* now, resolved
-/// against the [`dynaplace_apc::PolicyRegistry`], so any registered
-/// policy (builtin or custom) can drive a scenario.
-#[deprecated(
-    since = "0.6.0",
-    note = "set `ScenarioSpec::scheduler` to a registry policy name (e.g. \"apc\", \"fcfs\") instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum SchedulerSpec {
-    /// The paper's placement controller.
-    Apc,
-    /// First-Come, First-Served.
-    Fcfs,
-    /// Earliest Deadline First.
-    Edf,
-}
-
-#[allow(deprecated)]
-impl SchedulerSpec {
-    /// The registry name this variant maps to.
-    pub fn policy_name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Apc => "apc",
-            SchedulerSpec::Fcfs => "fcfs",
-            SchedulerSpec::Edf => "edf",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<SchedulerSpec> for String {
-    fn from(spec: SchedulerSpec) -> Self {
-        spec.policy_name().to_string()
-    }
-}
-
-/// How job arrival times are generated.
+/// How classic job arrival times are generated. Deliberately separate
+/// from the streams' [`ArrivalProcess`]: classic groups share one seed
+/// RNG drawn in declaration order and take a pre-assigned id block (see
+/// DESIGN.md §17).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ArrivalSpec {
@@ -112,26 +76,12 @@ pub enum ArrivalSpec {
     At(Vec<f64>),
 }
 
-/// How a job's deadline is derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum GoalSpec {
-    /// Deadline = arrival + factor × best execution time (the paper's
-    /// relative goal factor).
-    Factor(f64),
-    /// Deadline = arrival + this many seconds.
-    RelativeSecs(f64),
-}
-
-/// A group of identical batch jobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JobGroupSpec {
-    /// Number of jobs submitted.
-    pub count: usize,
-    /// Optional group name (diagnostics and duplicate detection; shares
-    /// a namespace with [`TxnSpec::name`]).
-    #[serde(default)]
-    pub name: Option<String>,
+/// The shape of one batch job, whichever list submits it: the paper
+/// defines a job by its work, speed, memory and completion goal alone
+/// (§4). Both [`JobGroupSpec`] and [`BatchStreamSpec`] embed it, and on
+/// the wire its fields sit flat beside the list's own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobShapeSpec {
     /// Total work per job, megacycles.
     pub work_mcycles: f64,
     /// Maximum speed per task, MHz.
@@ -139,37 +89,65 @@ pub struct JobGroupSpec {
     /// Memory per task, MB.
     pub memory_mb: f64,
     /// Deadline derivation.
-    pub goal: GoalSpec,
-    /// Arrival process for this group.
-    pub arrivals: ArrivalSpec,
+    pub goal: GoalSubmission,
     /// Parallel tasks per job (1 = ordinary job).
-    #[serde(default = "one")]
     pub tasks: u32,
     /// Optional job class tag (for on-the-fly profile estimation).
-    #[serde(default)]
     pub class: Option<String>,
     /// Per-task demand in each *extra* rigid dimension (beyond memory),
     /// keyed by declared dimension name; missing dimensions demand zero.
     /// The wire block also accepts a `memory_mb` entry, canonicalized to
     /// the dedicated field.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
-fn one() -> u32 {
-    1
+impl JobShapeSpec {
+    /// The submission template every job of this shape instantiates,
+    /// with extra-rigid demands laid out in the order of `dims`.
+    pub fn template(&self, dims: &[String]) -> JobTemplate {
+        JobTemplate {
+            work_mcycles: self.work_mcycles,
+            max_speed_mhz: self.max_speed_mhz,
+            memory_mb: self.memory_mb,
+            goal: self.goal,
+            tasks: self.tasks,
+            class: self.class.clone(),
+            extra_rigid: extra_rigid(dims, &self.resources),
+        }
+    }
 }
 
-/// A transactional application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TxnSpec {
-    /// Optional application name (diagnostics and duplicate detection;
-    /// shares a namespace with [`JobGroupSpec::name`]).
-    #[serde(default)]
+/// A group of identical batch jobs with a classic arrival process.
+#[derive(Debug, Clone)]
+pub struct JobGroupSpec {
+    /// Number of jobs submitted.
+    pub count: usize,
+    /// Optional group name (diagnostics and duplicate detection; shares
+    /// a namespace with every other application list).
     pub name: Option<String>,
-    /// Arrival rate, requests per second. A single value means constant;
-    /// multiple (time, rate) steps describe a piecewise-constant curve.
-    pub rate: RateSpec,
+    /// Arrival process for this group.
+    pub arrivals: ArrivalSpec,
+    /// What each job looks like.
+    pub shape: JobShapeSpec,
+}
+
+impl JobGroupSpec {
+    /// Number of jobs the group submits: [`JobGroupSpec::count`], except
+    /// for explicit [`ArrivalSpec::At`] groups, which submit one per
+    /// listed instant.
+    pub fn job_count(&self) -> usize {
+        match &self.arrivals {
+            ArrivalSpec::At(times) => times.len(),
+            _ => self.count,
+        }
+    }
+}
+
+/// The shape of one transactional application, whichever list declares
+/// it; only the request-rate description differs between [`TxnSpec`]
+/// and [`TxnStreamSpec`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TxnShapeSpec {
     /// Per-request CPU demand, megacycles.
     pub demand_mcycles: f64,
     /// Response-time floor, seconds.
@@ -184,8 +162,42 @@ pub struct TxnSpec {
     /// memory), keyed by declared dimension name; missing dimensions
     /// demand zero. The wire block also accepts a `memory_mb` entry,
     /// canonicalized to the dedicated field.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
+}
+
+impl TxnShapeSpec {
+    /// The registration of an application of this shape under `pattern`,
+    /// with extra-rigid demands laid out in the order of `dims`.
+    pub(crate) fn submission(
+        &self,
+        id: Option<AppId>,
+        pattern: Box<dyn ArrivalPattern + Send>,
+        dims: &[String],
+    ) -> TxnSubmission {
+        TxnSubmission {
+            id,
+            memory_mb: self.memory_mb,
+            max_instances: self.max_instances,
+            demand_mcycles: self.demand_mcycles,
+            floor_secs: self.floor_secs,
+            goal_secs: self.goal_secs,
+            pattern,
+            extra_rigid: extra_rigid(dims, &self.resources),
+        }
+    }
+}
+
+/// A transactional application with a constant or stepped rate.
+#[derive(Debug, Clone)]
+pub struct TxnSpec {
+    /// Optional application name (diagnostics and duplicate detection;
+    /// shares a namespace with every other application list).
+    pub name: Option<String>,
+    /// Arrival rate, requests per second. A single value means constant;
+    /// multiple (time, rate) steps describe a piecewise-constant curve.
+    pub rate: RateSpec,
+    /// What the application looks like.
+    pub shape: TxnShapeSpec,
 }
 
 /// Constant or stepped arrival rate.
@@ -196,6 +208,20 @@ pub enum RateSpec {
     Constant(f64),
     /// `(start_secs, rate)` steps, strictly increasing starts.
     Steps(Vec<(f64, f64)>),
+}
+
+impl RateSpec {
+    fn to_pattern(&self) -> Box<dyn ArrivalPattern + Send> {
+        match self {
+            RateSpec::Constant(rate) => Box::new(ConstantRate(*rate)),
+            RateSpec::Steps(steps) => Box::new(StepPattern::new(
+                steps
+                    .iter()
+                    .map(|&(t, r)| (SimTime::from_secs(t), r))
+                    .collect(),
+            )),
+        }
+    }
 }
 
 /// The optional `"workload"` block: generative streaming workload on
@@ -213,134 +239,32 @@ pub struct WorkloadSpec {
     pub txn_streams: Vec<TxnStreamSpec>,
 }
 
-/// One generated batch stream: an arrival process plus the job template
+/// One generated batch stream: an arrival process plus the job shape
 /// every arrival instantiates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchStreamSpec {
     /// Optional stream name (diagnostics and duplicate detection; shares
     /// the application namespace with jobs and txns).
-    #[serde(default)]
     pub name: Option<String>,
     /// The arrival process.
-    pub process: ProcessSpec,
+    pub process: ArrivalProcess,
     /// Number of jobs to generate; `None` = unbounded, in which case the
     /// scenario must set `horizon_secs` to bound the stream.
-    #[serde(default)]
     pub count: Option<u64>,
-    /// Total work per job, megacycles.
-    pub work_mcycles: f64,
-    /// Maximum speed per task, MHz.
-    pub max_speed_mhz: f64,
-    /// Memory per task, MB.
-    pub memory_mb: f64,
-    /// Deadline derivation.
-    pub goal: GoalSpec,
-    /// Parallel tasks per job (1 = ordinary job).
-    #[serde(default = "one")]
-    pub tasks: u32,
-    /// Optional job class tag.
-    #[serde(default)]
-    pub class: Option<String>,
-    /// Per-task demand in each *extra* rigid dimension (beyond memory).
-    #[serde(default)]
-    pub resources: BTreeMap<String, f64>,
-}
-
-/// The stochastic arrival process of a generated batch stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ProcessSpec {
-    /// Homogeneous Poisson arrivals.
-    Poisson {
-        /// Arrival rate, jobs per second.
-        rate_per_sec: f64,
-    },
-    /// Cyclic Markov-modulated Poisson process: `(rate_per_sec,
-    /// mean_dwell_secs)` states visited in order with exponential
-    /// dwells. Two states give the classic on/off burst model.
-    Mmpp {
-        /// The states, visited cyclically.
-        states: Vec<(f64, f64)>,
-    },
-    /// Diurnal curve: rate `base + amplitude·sin(2π·t/period)`, floored
-    /// at zero (86 400 s period = one day).
-    Diurnal {
-        /// Mean rate, jobs per second.
-        base_rate_per_sec: f64,
-        /// Peak deviation from the mean, jobs per second.
-        amplitude: f64,
-        /// Period, seconds.
-        period_secs: f64,
-    },
-    /// Flash crowds: a baseline rate with a `multiplier`× spike of
-    /// `duration_secs` starting every `every_secs`.
-    FlashCrowd {
-        /// Baseline rate, jobs per second.
-        base_rate_per_sec: f64,
-        /// Rate multiplier during a spike.
-        multiplier: f64,
-        /// Spike spacing, seconds.
-        every_secs: f64,
-        /// Spike length, seconds.
-        duration_secs: f64,
-    },
-}
-
-impl ProcessSpec {
-    fn to_process(&self) -> ArrivalProcess {
-        match self {
-            ProcessSpec::Poisson { rate_per_sec } => ArrivalProcess::Poisson {
-                rate_per_sec: *rate_per_sec,
-            },
-            ProcessSpec::Mmpp { states } => ArrivalProcess::Mmpp {
-                states: states.clone(),
-            },
-            ProcessSpec::Diurnal {
-                base_rate_per_sec,
-                amplitude,
-                period_secs,
-            } => ArrivalProcess::Diurnal {
-                base_rate_per_sec: *base_rate_per_sec,
-                amplitude: *amplitude,
-                period_secs: *period_secs,
-            },
-            ProcessSpec::FlashCrowd {
-                base_rate_per_sec,
-                multiplier,
-                every_secs,
-                duration_secs,
-            } => ArrivalProcess::FlashCrowd {
-                base_rate_per_sec: *base_rate_per_sec,
-                multiplier: *multiplier,
-                every_secs: *every_secs,
-                duration_secs: *duration_secs,
-            },
-        }
-    }
+    /// What each job looks like.
+    pub shape: JobShapeSpec,
 }
 
 /// One generated transactional application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxnStreamSpec {
     /// Optional name (shares the application namespace with jobs and
     /// txns).
-    #[serde(default)]
     pub name: Option<String>,
     /// The request-rate curve.
     pub curve: TxnCurveSpec,
-    /// Per-request CPU demand, megacycles.
-    pub demand_mcycles: f64,
-    /// Response-time floor, seconds.
-    pub floor_secs: f64,
-    /// Response-time goal, seconds.
-    pub goal_secs: f64,
-    /// Memory per instance, MB.
-    pub memory_mb: f64,
-    /// Maximum instances.
-    pub max_instances: u32,
-    /// Per-instance demand in each *extra* rigid dimension.
-    #[serde(default)]
-    pub resources: BTreeMap<String, f64>,
+    /// What the application looks like.
+    pub shape: TxnShapeSpec,
 }
 
 /// The request-rate curve of a generated transactional application.
@@ -374,7 +298,7 @@ pub enum TxnCurveSpec {
 }
 
 impl TxnCurveSpec {
-    fn to_pattern(&self) -> Box<dyn dynaplace_txn::workload::ArrivalPattern + Send> {
+    fn to_pattern(&self) -> Box<dyn ArrivalPattern + Send> {
         match self {
             TxnCurveSpec::Constant { rate_per_sec } => Box::new(ConstantRate(*rate_per_sec)),
             TxnCurveSpec::Diurnal {
@@ -664,11 +588,12 @@ pub enum ScenarioError {
         /// a typo away.
         suggestion: Option<String>,
     },
-    /// `jobs[group_index]` asks for parallel tasks under a baseline
-    /// scheduler, which only models single-instance jobs.
+    /// A job group or batch stream asks for parallel tasks under a
+    /// baseline scheduler, which only models single-instance jobs.
     ParallelJobsNeedApc {
-        /// Index into `jobs`.
-        group_index: usize,
+        /// Dotted path of the offending `tasks` field, e.g.
+        /// `jobs[0].tasks`.
+        field: String,
     },
     /// `trace.level` is not a known trace verbosity name.
     UnknownTraceLevel {
@@ -746,10 +671,10 @@ pub enum ScenarioError {
         /// The declared total node count.
         nodes: usize,
     },
-    /// The `workload` block is structurally invalid: a degenerate
-    /// arrival process, a parallel stream under a baseline scheduler, or
-    /// an unbounded stream in a scenario without `horizon_secs` (such a
-    /// run would generate arrivals forever).
+    /// The `workload` block is structurally invalid: an MMPP with no
+    /// state that produces arrivals, or an unbounded stream in a
+    /// scenario without `horizon_secs` (such a run would generate
+    /// arrivals forever).
     InvalidWorkload {
         /// What is wrong with it.
         message: String,
@@ -787,9 +712,9 @@ impl std::fmt::Display for ScenarioError {
                     policy_registry::policy_names().join(", ")
                 )
             }
-            ScenarioError::ParallelJobsNeedApc { group_index } => write!(
+            ScenarioError::ParallelJobsNeedApc { field } => write!(
                 f,
-                "jobs[{group_index}] uses parallel tasks, which only the apc scheduler supports"
+                "{field} asks for parallel tasks, which only the apc scheduler supports"
             ),
             ScenarioError::UnknownTraceLevel { level } => {
                 write!(f, "trace.level must be decisions|verbose, got {level:?}")
@@ -925,20 +850,12 @@ impl ScenarioSpec {
         self.nodes.iter().map(|g| g.count).sum()
     }
 
-    /// Total number of *classic* batch jobs the scenario will submit:
-    /// each group spawns [`JobGroupSpec::count`] instances, except
-    /// explicit [`ArrivalSpec::At`] groups, which spawn one per listed
-    /// instant. Generated streams are excluded (the classic id layout
-    /// depends on this count) — see
+    /// Total number of *classic* batch jobs the scenario will submit
+    /// (see [`JobGroupSpec::job_count`]). Generated streams are excluded
+    /// (the classic id layout depends on this count) — see
     /// [`ScenarioSpec::generated_job_cap`] for their contribution.
     pub fn job_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .map(|g| match &g.arrivals {
-                ArrivalSpec::At(times) => times.len(),
-                _ => g.count,
-            })
-            .sum()
+        self.jobs.iter().map(JobGroupSpec::job_count).sum()
     }
 
     /// Total count cap across generated batch streams. Exact for
@@ -996,13 +913,6 @@ impl ScenarioSpec {
                 rate: self.actuation.failure_rate,
             });
         }
-        if !is_apc {
-            for (group_index, group) in self.jobs.iter().enumerate() {
-                if group.tasks > 1 {
-                    return Err(ScenarioError::ParallelJobsNeedApc { group_index });
-                }
-            }
-        }
         if TraceLevel::from_name(&self.trace.level).is_none() {
             return Err(ScenarioError::UnknownTraceLevel {
                 level: self.trace.level.clone(),
@@ -1029,175 +939,96 @@ impl ScenarioSpec {
             }
         }
         self.validate_observation(is_apc)?;
-        self.validate_workload(is_apc)?;
         self.validate_names()?;
-        self.validate_resources()?;
-        self.validate_finite()?;
-        self.validate_signs()
+        if let Err(e) = ResourceDims::with_extra(self.resources.iter().cloned()) {
+            return Err(ScenarioError::InvalidResources {
+                message: e.to_string(),
+            });
+        }
+        self.validate_numbers(is_apc)?;
+        self.validate_workload()
     }
 
-    /// Rejects degenerate `workload` blocks: arrival processes that can
-    /// never produce (or never stop producing) arrivals, unbounded
-    /// streams without a horizon to cut them, parallel streams under a
-    /// baseline scheduler, and the usual finiteness / sign constraints
-    /// on every generator parameter.
-    fn validate_workload(&self, is_apc: bool) -> Result<(), ScenarioError> {
+    /// The rules only generated streams have: an unbounded stream needs
+    /// a horizon to cut it, an MMPP needs a state that produces
+    /// arrivals, and every process and curve parameter needs a sign and
+    /// a finite value. Stream shapes are checked with the classic lists'
+    /// by `validate_numbers`.
+    fn validate_workload(&self) -> Result<(), ScenarioError> {
         let Some(workload) = &self.workload else {
             return Ok(());
         };
         let bad = |message: String| Err(ScenarioError::InvalidWorkload { message });
-        let finite_positive = |field: &str, value: f64| {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                bad(format!("{field} must be finite and > 0, got {value}"))
-            }
-        };
-        let finite_non_negative = |field: &str, value: f64| {
-            if value.is_finite() && value >= 0.0 {
-                Ok(())
-            } else {
-                bad(format!("{field} must be finite and >= 0, got {value}"))
-            }
-        };
-        let check_resources = |field: &str, block: &BTreeMap<String, f64>| {
-            for (name, &value) in block {
-                if !self.resources.contains(name) {
-                    return Err(ScenarioError::UnknownResource {
-                        field: field.to_string(),
-                        name: name.clone(),
-                    });
-                }
-                finite_non_negative(&format!("{field}.{name}"), value)?;
-            }
-            Ok(())
-        };
         for (i, stream) in workload.batch_streams.iter().enumerate() {
-            let at = |leaf: &str| format!("workload.batch_streams[{i}].{leaf}");
-            if stream.tasks == 0 {
-                return bad(format!("{} must be at least 1", at("tasks")));
-            }
-            if stream.tasks > 1 && !is_apc {
-                return bad(format!(
-                    "{} asks for parallel tasks under a baseline scheduler",
-                    at("tasks")
-                ));
-            }
+            let at = |leaf: &str| format!("workload.batch_streams[{i}].process.{leaf}");
             if stream.count.is_none() && self.horizon_secs.is_none() {
                 return bad(format!(
                     "workload.batch_streams[{i}] is unbounded (no count) in a scenario \
                      without horizon_secs"
                 ));
             }
-            finite_positive(&at("work_mcycles"), stream.work_mcycles)?;
-            finite_positive(&at("max_speed_mhz"), stream.max_speed_mhz)?;
-            finite_non_negative(&at("memory_mb"), stream.memory_mb)?;
-            match stream.goal {
-                GoalSpec::Factor(f) => finite_positive(&at("goal.factor"), f)?,
-                GoalSpec::RelativeSecs(s) => finite_positive(&at("goal.relative_secs"), s)?,
-            }
             match &stream.process {
-                ProcessSpec::Poisson { rate_per_sec } => {
-                    finite_positive(&at("process.poisson.rate_per_sec"), *rate_per_sec)?;
+                ArrivalProcess::Poisson { rate_per_sec } => {
+                    positive(&at("poisson.rate_per_sec"), *rate_per_sec)?;
                 }
-                ProcessSpec::Mmpp { states } => {
-                    if states.is_empty() {
-                        return bad(format!(
-                            "{} must have at least one state",
-                            at("process.mmpp")
-                        ));
-                    }
-                    let mut any_positive = false;
+                ArrivalProcess::Mmpp { states } => {
                     for (j, &(rate, dwell)) in states.iter().enumerate() {
-                        let leaf = format!("process.mmpp.states[{j}]");
-                        finite_non_negative(&at(&format!("{leaf}.rate")), rate)?;
-                        finite_positive(&at(&format!("{leaf}.mean_dwell_secs")), dwell)?;
-                        any_positive |= rate > 0.0;
+                        non_negative(&at(&format!("mmpp.states[{j}].rate")), rate)?;
+                        positive(&at(&format!("mmpp.states[{j}].mean_dwell_secs")), dwell)?;
                     }
-                    if !any_positive {
+                    if !states.iter().any(|&(rate, _)| rate > 0.0) {
                         return bad(format!(
                             "{} has no state with a positive rate, so the stream \
                              never produces an arrival",
-                            at("process.mmpp")
+                            at("mmpp")
                         ));
                     }
                 }
-                ProcessSpec::Diurnal {
+                ArrivalProcess::Diurnal {
                     base_rate_per_sec,
                     amplitude,
                     period_secs,
                 } => {
-                    finite_positive(&at("process.diurnal.base_rate_per_sec"), *base_rate_per_sec)?;
-                    if !amplitude.is_finite() {
-                        return bad(format!(
-                            "{} must be finite, got {amplitude}",
-                            at("process.diurnal.amplitude")
-                        ));
-                    }
-                    finite_positive(&at("process.diurnal.period_secs"), *period_secs)?;
+                    positive(&at("diurnal.base_rate_per_sec"), *base_rate_per_sec)?;
+                    finite(&at("diurnal.amplitude"), *amplitude)?;
+                    positive(&at("diurnal.period_secs"), *period_secs)?;
                 }
-                ProcessSpec::FlashCrowd {
+                ArrivalProcess::FlashCrowd {
                     base_rate_per_sec,
                     multiplier,
                     every_secs,
                     duration_secs,
                 } => {
-                    finite_positive(
-                        &at("process.flash_crowd.base_rate_per_sec"),
-                        *base_rate_per_sec,
-                    )?;
-                    finite_positive(&at("process.flash_crowd.multiplier"), *multiplier)?;
-                    finite_positive(&at("process.flash_crowd.every_secs"), *every_secs)?;
-                    finite_non_negative(&at("process.flash_crowd.duration_secs"), *duration_secs)?;
+                    positive(&at("flash_crowd.base_rate_per_sec"), *base_rate_per_sec)?;
+                    positive(&at("flash_crowd.multiplier"), *multiplier)?;
+                    positive(&at("flash_crowd.every_secs"), *every_secs)?;
+                    non_negative(&at("flash_crowd.duration_secs"), *duration_secs)?;
                 }
             }
-            check_resources(
-                &format!("workload.batch_streams[{i}].resources"),
-                &stream.resources,
-            )?;
         }
         for (i, stream) in workload.txn_streams.iter().enumerate() {
-            let at = |leaf: &str| format!("workload.txn_streams[{i}].{leaf}");
-            if stream.max_instances == 0 {
-                return bad(format!("{} must be at least 1", at("max_instances")));
-            }
-            finite_positive(&at("demand_mcycles"), stream.demand_mcycles)?;
-            finite_non_negative(&at("floor_secs"), stream.floor_secs)?;
-            finite_positive(&at("goal_secs"), stream.goal_secs)?;
-            finite_non_negative(&at("memory_mb"), stream.memory_mb)?;
+            let at = |leaf: &str| format!("workload.txn_streams[{i}].curve.{leaf}");
             match &stream.curve {
                 TxnCurveSpec::Constant { rate_per_sec } => {
-                    finite_non_negative(&at("curve.constant.rate_per_sec"), *rate_per_sec)?;
+                    non_negative(&at("constant.rate_per_sec"), *rate_per_sec)?;
                 }
                 TxnCurveSpec::Diurnal {
                     base_rate_per_sec,
                     amplitude_per_sec,
                     period_secs,
                 } => {
-                    finite_non_negative(
-                        &at("curve.diurnal.base_rate_per_sec"),
-                        *base_rate_per_sec,
-                    )?;
-                    if !amplitude_per_sec.is_finite() {
-                        return bad(format!(
-                            "{} must be finite, got {amplitude_per_sec}",
-                            at("curve.diurnal.amplitude_per_sec")
-                        ));
-                    }
-                    finite_positive(&at("curve.diurnal.period_secs"), *period_secs)?;
+                    non_negative(&at("diurnal.base_rate_per_sec"), *base_rate_per_sec)?;
+                    finite(&at("diurnal.amplitude_per_sec"), *amplitude_per_sec)?;
+                    positive(&at("diurnal.period_secs"), *period_secs)?;
                 }
                 TxnCurveSpec::Population {
                     users,
                     think_time_secs,
                 } => {
-                    finite_non_negative(&at("curve.population.users"), *users)?;
-                    finite_positive(&at("curve.population.think_time_secs"), *think_time_secs)?;
+                    non_negative(&at("population.users"), *users)?;
+                    positive(&at("population.think_time_secs"), *think_time_secs)?;
                 }
             }
-            check_resources(
-                &format!("workload.txn_streams[{i}].resources"),
-                &stream.resources,
-            )?;
         }
         Ok(())
     }
@@ -1301,260 +1132,90 @@ impl ScenarioSpec {
         )
     }
 
-    /// Checks the resource registry constructs and that every per-group
-    /// `resources` block only references declared dimensions.
-    fn validate_resources(&self) -> Result<(), ScenarioError> {
-        if let Err(e) = ResourceDims::with_extra(self.resources.iter().cloned()) {
-            return Err(ScenarioError::InvalidResources {
-                message: e.to_string(),
-            });
-        }
-        let declared = |name: &String| self.resources.contains(name);
-        let check = |field: String, block: &BTreeMap<String, f64>| {
-            for name in block.keys() {
-                if !declared(name) {
-                    return Err(ScenarioError::UnknownResource {
-                        field,
-                        name: name.clone(),
-                    });
-                }
-            }
-            Ok(())
-        };
-        for (i, group) in self.nodes.iter().enumerate() {
-            check(format!("nodes[{i}].resources"), &group.resources)?;
-        }
-        for (i, group) in self.jobs.iter().enumerate() {
-            check(format!("jobs[{i}].resources"), &group.resources)?;
-        }
-        for (i, txn) in self.txns.iter().enumerate() {
-            check(format!("txns[{i}].resources"), &txn.resources)?;
-        }
-        Ok(())
-    }
-
-    /// The finiteness half of [`ScenarioSpec::validate`]: every number
-    /// that ends up on a simulated timeline must be finite.
-    fn validate_finite(&self) -> Result<(), ScenarioError> {
-        fn finite(field: String, value: f64) -> Result<(), ScenarioError> {
-            if value.is_finite() {
-                Ok(())
-            } else {
-                Err(ScenarioError::NonFiniteNumber { field, value })
-            }
-        }
-        finite("cycle_secs".to_string(), self.cycle_secs)?;
+    /// Every number in field order: finite wherever it feeds simulated
+    /// time, strictly positive where zero is meaningless (`cycle_secs`,
+    /// per-job work, speed and goal, per-request demand, response-time
+    /// goals, task and instance counts), non-negative everywhere else a
+    /// negative value would either panic mid-build (node capacities) or
+    /// move simulated time backwards (arrival instants, backoffs, outage
+    /// offsets). Job and txn shapes get the same checks in whichever
+    /// list declares them.
+    fn validate_numbers(&self, is_apc: bool) -> Result<(), ScenarioError> {
+        let dims = &self.resources;
+        positive("cycle_secs", self.cycle_secs)?;
         if let Some(h) = self.horizon_secs {
-            finite("horizon_secs".to_string(), h)?;
+            non_negative("horizon_secs", h)?;
         }
         if let Some(d) = self.deadline_secs {
             // A NaN deadline used to panic inside Duration::from_secs_f64
             // mid-build.
-            finite("deadline_secs".to_string(), d)?;
+            positive("deadline_secs", d)?;
         }
         for (i, group) in self.nodes.iter().enumerate() {
-            finite(format!("nodes[{i}].cpu_mhz"), group.cpu_mhz)?;
-            finite(format!("nodes[{i}].memory_mb"), group.memory_mb)?;
-            for (name, &value) in &group.resources {
-                finite(format!("nodes[{i}].resources.{name}"), value)?;
-            }
+            non_negative(&format!("nodes[{i}].cpu_mhz"), group.cpu_mhz)?;
+            non_negative(&format!("nodes[{i}].memory_mb"), group.memory_mb)?;
+            validate_resources(&format!("nodes[{i}]"), &group.resources, dims)?;
         }
         for (i, group) in self.jobs.iter().enumerate() {
-            for (name, &value) in &group.resources {
-                finite(format!("jobs[{i}].resources.{name}"), value)?;
-            }
-        }
-        for (i, txn) in self.txns.iter().enumerate() {
-            for (name, &value) in &txn.resources {
-                finite(format!("txns[{i}].resources.{name}"), value)?;
-            }
-        }
-        for (i, group) in self.jobs.iter().enumerate() {
-            finite(format!("jobs[{i}].work_mcycles"), group.work_mcycles)?;
-            finite(format!("jobs[{i}].max_speed_mhz"), group.max_speed_mhz)?;
-            finite(format!("jobs[{i}].memory_mb"), group.memory_mb)?;
-            match group.goal {
-                GoalSpec::Factor(f) => finite(format!("jobs[{i}].goal.factor"), f)?,
-                GoalSpec::RelativeSecs(s) => {
-                    finite(format!("jobs[{i}].goal.relative_secs"), s)?;
-                }
-            }
-            match &group.arrivals {
-                ArrivalSpec::Exponential { mean_secs } => {
-                    finite(
-                        format!("jobs[{i}].arrivals.exponential.mean_secs"),
-                        *mean_secs,
-                    )?;
-                }
-                ArrivalSpec::Periodic { every_secs } => {
-                    finite(
-                        format!("jobs[{i}].arrivals.periodic.every_secs"),
-                        *every_secs,
-                    )?;
-                }
-                ArrivalSpec::At(times) => {
-                    for (j, &t) in times.iter().enumerate() {
-                        finite(format!("jobs[{i}].arrivals.at[{j}]"), t)?;
-                    }
-                }
-            }
-        }
-        for (i, txn) in self.txns.iter().enumerate() {
-            finite(format!("txns[{i}].demand_mcycles"), txn.demand_mcycles)?;
-            finite(format!("txns[{i}].memory_mb"), txn.memory_mb)?;
-            finite(format!("txns[{i}].floor_secs"), txn.floor_secs)?;
-            finite(format!("txns[{i}].goal_secs"), txn.goal_secs)?;
-            match &txn.rate {
-                RateSpec::Constant(r) => finite(format!("txns[{i}].rate"), *r)?,
-                RateSpec::Steps(steps) => {
-                    for (j, &(t, r)) in steps.iter().enumerate() {
-                        finite(format!("txns[{i}].rate[{j}].start_secs"), t)?;
-                        finite(format!("txns[{i}].rate[{j}].rate"), r)?;
-                    }
-                }
-            }
-        }
-        for (i, failure) in self.node_failures.iter().enumerate() {
-            finite(format!("node_failures[{i}].at_secs"), failure.at_secs)?;
-            if let Some(d) = failure.duration_secs {
-                finite(format!("node_failures[{i}].duration_secs"), d)?;
-            }
-        }
-        let a = &self.actuation;
-        finite("actuation.latency_jitter".to_string(), a.latency_jitter)?;
-        if let Some(t) = a.timeout_secs {
-            finite("actuation.timeout_secs".to_string(), t)?;
-        }
-        if let Some(t) = a.fail_until_secs {
-            finite("actuation.fail_until_secs".to_string(), t)?;
-        }
-        finite(
-            "actuation.base_backoff_secs".to_string(),
-            a.base_backoff_secs,
-        )?;
-        finite("actuation.backoff_factor".to_string(), a.backoff_factor)?;
-        finite("actuation.max_backoff_secs".to_string(), a.max_backoff_secs)?;
-        finite("actuation.quarantine_secs".to_string(), a.quarantine_secs)?;
-        Ok(())
-    }
-
-    /// The sign half of [`ScenarioSpec::validate`]: strictly positive
-    /// where zero is meaningless (`cycle_secs`, per-job work and speed,
-    /// per-request demand, response-time goals, task and instance
-    /// counts), non-negative everywhere else a negative value would
-    /// either panic mid-build (node capacities) or move simulated time
-    /// backwards (arrival instants, backoffs, outage offsets).
-    fn validate_signs(&self) -> Result<(), ScenarioError> {
-        fn positive(field: String, value: f64) -> Result<(), ScenarioError> {
-            if value > 0.0 {
-                Ok(())
-            } else {
-                Err(ScenarioError::NonPositiveNumber { field, value })
-            }
-        }
-        fn non_negative(field: String, value: f64) -> Result<(), ScenarioError> {
-            if value >= 0.0 {
-                Ok(())
-            } else {
-                Err(ScenarioError::NegativeNumber { field, value })
-            }
-        }
-        positive("cycle_secs".to_string(), self.cycle_secs)?;
-        if let Some(h) = self.horizon_secs {
-            non_negative("horizon_secs".to_string(), h)?;
-        }
-        if let Some(d) = self.deadline_secs {
-            positive("deadline_secs".to_string(), d)?;
-        }
-        for (i, group) in self.nodes.iter().enumerate() {
-            non_negative(format!("nodes[{i}].cpu_mhz"), group.cpu_mhz)?;
-            non_negative(format!("nodes[{i}].memory_mb"), group.memory_mb)?;
-            for (name, &value) in &group.resources {
-                non_negative(format!("nodes[{i}].resources.{name}"), value)?;
-            }
-        }
-        for (i, group) in self.jobs.iter().enumerate() {
-            if group.tasks == 0 {
-                return Err(ScenarioError::NonPositiveNumber {
-                    field: format!("jobs[{i}].tasks"),
-                    value: 0.0,
-                });
-            }
-            positive(format!("jobs[{i}].work_mcycles"), group.work_mcycles)?;
-            positive(format!("jobs[{i}].max_speed_mhz"), group.max_speed_mhz)?;
-            non_negative(format!("jobs[{i}].memory_mb"), group.memory_mb)?;
-            if let GoalSpec::Factor(factor) = group.goal {
-                positive(format!("jobs[{i}].goal.factor"), factor)?;
-            }
+            let path = format!("jobs[{i}]");
+            validate_job_shape(&path, &group.shape, dims, is_apc)?;
             match &group.arrivals {
                 ArrivalSpec::Exponential { mean_secs } => {
                     positive(
-                        format!("jobs[{i}].arrivals.exponential.mean_secs"),
+                        &format!("{path}.arrivals.exponential.mean_secs"),
                         *mean_secs,
                     )?;
                 }
                 ArrivalSpec::Periodic { every_secs } => {
-                    non_negative(
-                        format!("jobs[{i}].arrivals.periodic.every_secs"),
-                        *every_secs,
-                    )?;
+                    non_negative(&format!("{path}.arrivals.periodic.every_secs"), *every_secs)?;
                 }
                 ArrivalSpec::At(times) => {
                     for (j, &t) in times.iter().enumerate() {
-                        non_negative(format!("jobs[{i}].arrivals.at[{j}]"), t)?;
+                        non_negative(&format!("{path}.arrivals.at[{j}]"), t)?;
                     }
                 }
-            }
-            for (name, &value) in &group.resources {
-                non_negative(format!("jobs[{i}].resources.{name}"), value)?;
             }
         }
         for (i, txn) in self.txns.iter().enumerate() {
-            if txn.max_instances == 0 {
-                return Err(ScenarioError::NonPositiveNumber {
-                    field: format!("txns[{i}].max_instances"),
-                    value: 0.0,
-                });
-            }
-            positive(format!("txns[{i}].demand_mcycles"), txn.demand_mcycles)?;
-            non_negative(format!("txns[{i}].floor_secs"), txn.floor_secs)?;
-            positive(format!("txns[{i}].goal_secs"), txn.goal_secs)?;
-            non_negative(format!("txns[{i}].memory_mb"), txn.memory_mb)?;
+            let path = format!("txns[{i}]");
+            validate_txn_shape(&path, &txn.shape, dims)?;
             match &txn.rate {
-                RateSpec::Constant(rate) => non_negative(format!("txns[{i}].rate"), *rate)?,
+                RateSpec::Constant(rate) => non_negative(&format!("{path}.rate"), *rate)?,
                 RateSpec::Steps(steps) => {
                     for (j, &(start, rate)) in steps.iter().enumerate() {
-                        non_negative(format!("txns[{i}].rate[{j}].start_secs"), start)?;
-                        non_negative(format!("txns[{i}].rate[{j}].rate"), rate)?;
+                        non_negative(&format!("{path}.rate[{j}].start_secs"), start)?;
+                        non_negative(&format!("{path}.rate[{j}].rate"), rate)?;
                     }
                 }
             }
-            for (name, &value) in &txn.resources {
-                non_negative(format!("txns[{i}].resources.{name}"), value)?;
+        }
+        if let Some(workload) = &self.workload {
+            for (i, stream) in workload.batch_streams.iter().enumerate() {
+                let path = format!("workload.batch_streams[{i}]");
+                validate_job_shape(&path, &stream.shape, dims, is_apc)?;
+            }
+            for (i, stream) in workload.txn_streams.iter().enumerate() {
+                validate_txn_shape(&format!("workload.txn_streams[{i}]"), &stream.shape, dims)?;
             }
         }
         for (i, failure) in self.node_failures.iter().enumerate() {
-            non_negative(format!("node_failures[{i}].at_secs"), failure.at_secs)?;
+            non_negative(&format!("node_failures[{i}].at_secs"), failure.at_secs)?;
             if let Some(d) = failure.duration_secs {
-                non_negative(format!("node_failures[{i}].duration_secs"), d)?;
+                non_negative(&format!("node_failures[{i}].duration_secs"), d)?;
             }
         }
         let a = &self.actuation;
-        non_negative("actuation.latency_jitter".to_string(), a.latency_jitter)?;
+        non_negative("actuation.latency_jitter", a.latency_jitter)?;
         if let Some(t) = a.timeout_secs {
-            positive("actuation.timeout_secs".to_string(), t)?;
+            positive("actuation.timeout_secs", t)?;
         }
         if let Some(t) = a.fail_until_secs {
-            non_negative("actuation.fail_until_secs".to_string(), t)?;
+            non_negative("actuation.fail_until_secs", t)?;
         }
-        non_negative(
-            "actuation.base_backoff_secs".to_string(),
-            a.base_backoff_secs,
-        )?;
-        non_negative("actuation.backoff_factor".to_string(), a.backoff_factor)?;
-        non_negative("actuation.max_backoff_secs".to_string(), a.max_backoff_secs)?;
-        non_negative("actuation.quarantine_secs".to_string(), a.quarantine_secs)?;
-        Ok(())
+        non_negative("actuation.base_backoff_secs", a.base_backoff_secs)?;
+        non_negative("actuation.backoff_factor", a.backoff_factor)?;
+        non_negative("actuation.max_backoff_secs", a.max_backoff_secs)?;
+        non_negative("actuation.quarantine_secs", a.quarantine_secs)
     }
 
     /// Resolves [`ScenarioSpec::scheduler`] against the global policy
@@ -1675,42 +1336,21 @@ impl ScenarioSpec {
         let mut submissions = Vec::new();
         let mut next = 0u32;
         for group in &self.jobs {
-            let extra = self.extra_rigid(&group.resources);
+            let template = group.shape.template(&self.resources);
             for arrival in arrival_times(&mut rng, &group.arrivals, group.count) {
-                submissions.push(Submission::Job(JobSubmission {
-                    id: Some(AppId::new(next)),
-                    arrival,
-                    work_mcycles: group.work_mcycles,
-                    max_speed_mhz: group.max_speed_mhz,
-                    memory_mb: group.memory_mb,
-                    goal: goal_submission(&group.goal),
-                    tasks: group.tasks,
-                    class: group.class.clone(),
-                    extra_rigid: extra.clone(),
-                }));
+                let job = template.instantiate(Some(AppId::new(next)), arrival);
+                submissions.push(Submission::Job(job));
                 next += 1;
             }
         }
         for txn in &self.txns {
-            let pattern: Box<dyn dynaplace_txn::workload::ArrivalPattern + Send> = match &txn.rate {
-                RateSpec::Constant(rate) => Box::new(ConstantRate(*rate)),
-                RateSpec::Steps(steps) => Box::new(StepPattern::new(
-                    steps
-                        .iter()
-                        .map(|&(t, r)| (SimTime::from_secs(t), r))
-                        .collect(),
-                )),
-            };
-            submissions.push(Submission::Txn(TxnSubmission {
-                id: Some(AppId::new(next)),
-                memory_mb: txn.memory_mb,
-                max_instances: txn.max_instances,
-                demand_mcycles: txn.demand_mcycles,
-                floor_secs: txn.floor_secs,
-                goal_secs: txn.goal_secs,
+            let id = Some(AppId::new(next));
+            let pattern = txn.rate.to_pattern();
+            submissions.push(Submission::Txn(txn.shape.submission(
+                id,
                 pattern,
-                extra_rigid: self.extra_rigid(&txn.resources),
-            }));
+                &self.resources,
+            )));
             next += 1;
         }
         (submissions, next)
@@ -1727,30 +1367,14 @@ impl ScenarioSpec {
             return source;
         };
         for txn in &workload.txn_streams {
-            source.push_txn(TxnSubmission {
-                id: None,
-                memory_mb: txn.memory_mb,
-                max_instances: txn.max_instances,
-                demand_mcycles: txn.demand_mcycles,
-                floor_secs: txn.floor_secs,
-                goal_secs: txn.goal_secs,
-                pattern: txn.curve.to_pattern(),
-                extra_rigid: self.extra_rigid(&txn.resources),
-            });
+            let pattern = txn.curve.to_pattern();
+            source.push_txn(txn.shape.submission(None, pattern, &self.resources));
         }
         let horizon = self.horizon_secs.map(SimTime::from_secs);
         for (index, stream) in workload.batch_streams.iter().enumerate() {
             source.push_batch(
-                stream.process.to_process(),
-                JobTemplate {
-                    work_mcycles: stream.work_mcycles,
-                    max_speed_mhz: stream.max_speed_mhz,
-                    memory_mb: stream.memory_mb,
-                    goal: goal_submission(&stream.goal),
-                    tasks: stream.tasks,
-                    class: stream.class.clone(),
-                    extra_rigid: self.extra_rigid(&stream.resources),
-                },
+                stream.process.clone(),
+                stream.shape.template(&self.resources),
                 GenerativeSource::stream_seed(self.seed, index),
                 stream.count,
                 horizon,
@@ -1827,19 +1451,121 @@ impl ScenarioSpec {
         };
         Simulation::new(cluster, config)
     }
+}
 
-    /// A group's extra-rigid demand vector in registry order; empty when
-    /// the scenario declares no extra dimensions, so memory-only specs
-    /// take the exact legacy code path.
-    fn extra_rigid(&self, block: &BTreeMap<String, f64>) -> Vec<f64> {
-        if self.resources.is_empty() {
-            return Vec::new();
-        }
-        self.resources
-            .iter()
-            .map(|name| block.get(name).copied().unwrap_or(0.0))
-            .collect()
+/// Requires `value` to be finite.
+fn finite(field: &str, value: f64) -> Result<(), ScenarioError> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        let field = field.to_string();
+        Err(ScenarioError::NonFiniteNumber { field, value })
     }
+}
+
+/// Requires `value` to be finite and strictly positive.
+fn positive(field: &str, value: f64) -> Result<(), ScenarioError> {
+    finite(field, value)?;
+    if value > 0.0 {
+        Ok(())
+    } else {
+        let field = field.to_string();
+        Err(ScenarioError::NonPositiveNumber { field, value })
+    }
+}
+
+/// Requires `value` to be finite and non-negative.
+fn non_negative(field: &str, value: f64) -> Result<(), ScenarioError> {
+    finite(field, value)?;
+    if value >= 0.0 {
+        Ok(())
+    } else {
+        let field = field.to_string();
+        Err(ScenarioError::NegativeNumber { field, value })
+    }
+}
+
+/// Checks the `resources` block of the entry at `path`: every name is
+/// declared in `dims` (an undeclared one is almost always a typo that
+/// would silently demand, or supply, nothing) and every value is finite
+/// and non-negative.
+fn validate_resources(
+    path: &str,
+    block: &BTreeMap<String, f64>,
+    dims: &[String],
+) -> Result<(), ScenarioError> {
+    for (name, &value) in block {
+        if !dims.contains(name) {
+            return Err(ScenarioError::UnknownResource {
+                field: format!("{path}.resources"),
+                name: name.clone(),
+            });
+        }
+        non_negative(&format!("{path}.resources.{name}"), value)?;
+    }
+    Ok(())
+}
+
+/// Checks the job shape of the list entry at `path` (`jobs[0]`,
+/// `workload.batch_streams[1]`, ...), the same way for either list.
+fn validate_job_shape(
+    path: &str,
+    shape: &JobShapeSpec,
+    dims: &[String],
+    is_apc: bool,
+) -> Result<(), ScenarioError> {
+    // `tasks: 0` used to silently degrade to an ordinary job.
+    if shape.tasks == 0 {
+        return Err(ScenarioError::NonPositiveNumber {
+            field: format!("{path}.tasks"),
+            value: 0.0,
+        });
+    }
+    if shape.tasks > 1 && !is_apc {
+        return Err(ScenarioError::ParallelJobsNeedApc {
+            field: format!("{path}.tasks"),
+        });
+    }
+    positive(&format!("{path}.work_mcycles"), shape.work_mcycles)?;
+    positive(&format!("{path}.max_speed_mhz"), shape.max_speed_mhz)?;
+    non_negative(&format!("{path}.memory_mb"), shape.memory_mb)?;
+    // A deadline at the arrival instant (or before it) used to panic
+    // mid-run when the engine built the job's completion goal.
+    match shape.goal {
+        GoalSubmission::Factor(f) => positive(&format!("{path}.goal.factor"), f)?,
+        GoalSubmission::RelativeSecs(s) => positive(&format!("{path}.goal.relative_secs"), s)?,
+    }
+    validate_resources(path, &shape.resources, dims)
+}
+
+/// Checks the txn shape of the list entry at `path` (`txns[0]`,
+/// `workload.txn_streams[1]`, ...), the same way for either list.
+fn validate_txn_shape(
+    path: &str,
+    shape: &TxnShapeSpec,
+    dims: &[String],
+) -> Result<(), ScenarioError> {
+    // A txn capped at zero instances can never be placed at all.
+    if shape.max_instances == 0 {
+        return Err(ScenarioError::NonPositiveNumber {
+            field: format!("{path}.max_instances"),
+            value: 0.0,
+        });
+    }
+    positive(&format!("{path}.demand_mcycles"), shape.demand_mcycles)?;
+    non_negative(&format!("{path}.floor_secs"), shape.floor_secs)?;
+    positive(&format!("{path}.goal_secs"), shape.goal_secs)?;
+    non_negative(&format!("{path}.memory_mb"), shape.memory_mb)?;
+    validate_resources(path, &shape.resources, dims)
+}
+
+/// A `resources` block as a demand vector in the order of `dims`; empty
+/// when the scenario declares no extra dimensions, so memory-only specs
+/// take the exact legacy code path.
+fn extra_rigid(dims: &[String], block: &BTreeMap<String, f64>) -> Vec<f64> {
+    dims.iter()
+        .map(|name| block.get(name).copied().unwrap_or(0.0))
+        .collect()
 }
 
 impl ScenarioSpec {
@@ -1865,15 +1591,20 @@ impl ScenarioSpec {
 // defaults for seed / horizon_secs / free_vm_costs / tasks / class /
 // node_failures.
 
-/// Serializes an extras block (`{name: value}`); callers emit it only
-/// when non-empty so legacy scenarios render byte-identically.
-fn resources_to_json(block: &BTreeMap<String, f64>) -> Json {
-    Json::Obj(
-        block
-            .iter()
-            .map(|(name, value)| (name.clone(), value.to_json()))
-            .collect(),
-    )
+/// Appends a list entry's `name` when it has one; anonymous entries
+/// render without the key.
+fn push_name(fields: &mut Vec<(&'static str, Json)>, name: &Option<String>) {
+    if let Some(name) = name {
+        fields.push(("name", Json::Str(name.clone())));
+    }
+}
+
+/// Appends an extras block (`{name: value}`) when it is non-empty, so
+/// memory-only scenarios render byte-identically to legacy files.
+fn push_resources(fields: &mut Vec<(&'static str, Json)>, block: &BTreeMap<String, f64>) {
+    if !block.is_empty() {
+        fields.push(("resources", block.to_json()));
+    }
 }
 
 /// Parses an optional extras block into a name → value map.
@@ -1912,14 +1643,10 @@ fn canonical_scalar(
 impl ToJson for NodeGroupSpec {
     fn to_json(&self) -> Json {
         let mut fields = vec![("count", self.count.to_json())];
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
+        push_name(&mut fields, &self.name);
         fields.push(("cpu_mhz", self.cpu_mhz.to_json()));
         fields.push(("memory_mb", self.memory_mb.to_json()));
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
+        push_resources(&mut fields, &self.resources);
         obj(fields)
     }
 }
@@ -1936,27 +1663,6 @@ impl FromJson for NodeGroupSpec {
             memory_mb,
             resources,
         })
-    }
-}
-
-#[allow(deprecated)]
-impl ToJson for SchedulerSpec {
-    fn to_json(&self) -> Json {
-        Json::Str(self.policy_name().to_string())
-    }
-}
-
-#[allow(deprecated)]
-impl FromJson for SchedulerSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("apc") => Ok(SchedulerSpec::Apc),
-            Some("fcfs") => Ok(SchedulerSpec::Fcfs),
-            Some("edf") => Ok(SchedulerSpec::Edf),
-            _ => Err(JsonError {
-                message: format!("unknown scheduler {v:?}; expected apc|fcfs|edf"),
-            }),
-        }
     }
 }
 
@@ -1994,21 +1700,21 @@ impl FromJson for ArrivalSpec {
     }
 }
 
-impl ToJson for GoalSpec {
+impl ToJson for GoalSubmission {
     fn to_json(&self) -> Json {
         match self {
-            GoalSpec::Factor(f) => obj([("factor", f.to_json())]),
-            GoalSpec::RelativeSecs(s) => obj([("relative_secs", s.to_json())]),
+            GoalSubmission::Factor(f) => obj([("factor", f.to_json())]),
+            GoalSubmission::RelativeSecs(s) => obj([("relative_secs", s.to_json())]),
         }
     }
 }
 
-impl FromJson for GoalSpec {
+impl FromJson for GoalSubmission {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         if let Some(f) = v.get("factor") {
-            Ok(GoalSpec::Factor(f64::from_json(f)?))
+            Ok(GoalSubmission::Factor(f64::from_json(f)?))
         } else if let Some(s) = v.get("relative_secs") {
-            Ok(GoalSpec::RelativeSecs(f64::from_json(s)?))
+            Ok(GoalSubmission::RelativeSecs(f64::from_json(s)?))
         } else {
             Err(JsonError {
                 message: "goal must be factor|relative_secs".to_string(),
@@ -2017,42 +1723,41 @@ impl FromJson for GoalSpec {
     }
 }
 
-impl ToJson for JobGroupSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("count", self.count.to_json())];
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
+impl JobShapeSpec {
+    /// Writes the shape flat into a list entry's `fields`. `after_goal`
+    /// lands between `goal` and `tasks`, where job groups have always
+    /// written their `arrivals`.
+    fn write_json(
+        &self,
+        fields: &mut Vec<(&'static str, Json)>,
+        after_goal: Option<(&'static str, Json)>,
+    ) {
         fields.extend([
             ("work_mcycles", self.work_mcycles.to_json()),
             ("max_speed_mhz", self.max_speed_mhz.to_json()),
             ("memory_mb", self.memory_mb.to_json()),
             ("goal", self.goal.to_json()),
-            ("arrivals", self.arrivals.to_json()),
+        ]);
+        fields.extend(after_goal);
+        fields.extend([
             ("tasks", self.tasks.to_json()),
             ("class", self.class.to_json()),
         ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
+        push_resources(fields, &self.resources);
     }
-}
 
-impl FromJson for JobGroupSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    /// Reads the shape from a list entry's flat fields; `context` names
+    /// the entry kind in errors.
+    fn read_json(v: &Json, context: &str) -> Result<Self, JsonError> {
         let mut resources = resources_from_json(v.get("resources"))?;
-        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", "job group")?;
-        Ok(JobGroupSpec {
-            count: v.field("count")?,
-            name: v.field_or("name")?,
+        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", context)?;
+        Ok(JobShapeSpec {
             work_mcycles: v.field("work_mcycles")?,
             max_speed_mhz: v.field("max_speed_mhz")?,
             memory_mb,
             goal: v.field("goal")?,
-            arrivals: v.field("arrivals")?,
             tasks: match v.get("tasks") {
-                None => one(),
+                None => 1,
                 Some(t) => u32::from_json(t)?,
             },
             class: v.field_or("class")?,
@@ -2061,40 +1766,72 @@ impl FromJson for JobGroupSpec {
     }
 }
 
-impl ToJson for TxnSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
+impl TxnShapeSpec {
+    /// Writes the shape flat into a list entry's `fields`.
+    fn write_json(&self, fields: &mut Vec<(&'static str, Json)>) {
         fields.extend([
-            ("rate", self.rate.to_json()),
             ("demand_mcycles", self.demand_mcycles.to_json()),
             ("floor_secs", self.floor_secs.to_json()),
             ("goal_secs", self.goal_secs.to_json()),
             ("memory_mb", self.memory_mb.to_json()),
             ("max_instances", self.max_instances.to_json()),
         ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
+        push_resources(fields, &self.resources);
     }
-}
 
-impl FromJson for TxnSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    /// Reads the shape from a list entry's flat fields; `context` names
+    /// the entry kind in errors.
+    fn read_json(v: &Json, context: &str) -> Result<Self, JsonError> {
         let mut resources = resources_from_json(v.get("resources"))?;
-        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", "txn")?;
-        Ok(TxnSpec {
-            name: v.field_or("name")?,
-            rate: v.field("rate")?,
+        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", context)?;
+        Ok(TxnShapeSpec {
             demand_mcycles: v.field("demand_mcycles")?,
             floor_secs: v.field("floor_secs")?,
             goal_secs: v.field("goal_secs")?,
             memory_mb,
             max_instances: v.field("max_instances")?,
             resources,
+        })
+    }
+}
+
+impl ToJson for JobGroupSpec {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("count", self.count.to_json())];
+        push_name(&mut fields, &self.name);
+        let arrivals = ("arrivals", self.arrivals.to_json());
+        self.shape.write_json(&mut fields, Some(arrivals));
+        obj(fields)
+    }
+}
+
+impl FromJson for JobGroupSpec {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(JobGroupSpec {
+            count: v.field("count")?,
+            name: v.field_or("name")?,
+            arrivals: v.field("arrivals")?,
+            shape: JobShapeSpec::read_json(v, "job group")?,
+        })
+    }
+}
+
+impl ToJson for TxnSpec {
+    fn to_json(&self) -> Json {
+        let mut fields = Vec::new();
+        push_name(&mut fields, &self.name);
+        fields.push(("rate", self.rate.to_json()));
+        self.shape.write_json(&mut fields);
+        obj(fields)
+    }
+}
+
+impl FromJson for TxnSpec {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(TxnSpec {
+            name: v.field_or("name")?,
+            rate: v.field("rate")?,
+            shape: TxnShapeSpec::read_json(v, "txn")?,
         })
     }
 }
@@ -2120,22 +1857,12 @@ impl FromJson for WorkloadSpec {
 impl ToJson for BatchStreamSpec {
     fn to_json(&self) -> Json {
         let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
+        push_name(&mut fields, &self.name);
         fields.extend([
             ("process", self.process.to_json()),
             ("count", self.count.to_json()),
-            ("work_mcycles", self.work_mcycles.to_json()),
-            ("max_speed_mhz", self.max_speed_mhz.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("goal", self.goal.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("class", self.class.to_json()),
         ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
+        self.shape.write_json(&mut fields, None);
         obj(fields)
     }
 }
@@ -2146,28 +1873,19 @@ impl FromJson for BatchStreamSpec {
             name: v.field_or("name")?,
             process: v.field("process")?,
             count: v.field_or("count")?,
-            work_mcycles: v.field("work_mcycles")?,
-            max_speed_mhz: v.field("max_speed_mhz")?,
-            memory_mb: v.field("memory_mb")?,
-            goal: v.field("goal")?,
-            tasks: match v.get("tasks") {
-                None => one(),
-                Some(t) => u32::from_json(t)?,
-            },
-            class: v.field_or("class")?,
-            resources: resources_from_json(v.get("resources"))?,
+            shape: JobShapeSpec::read_json(v, "batch stream")?,
         })
     }
 }
 
-impl ToJson for ProcessSpec {
+impl ToJson for ArrivalProcess {
     fn to_json(&self) -> Json {
         match self {
-            ProcessSpec::Poisson { rate_per_sec } => {
+            ArrivalProcess::Poisson { rate_per_sec } => {
                 obj([("poisson", obj([("rate_per_sec", rate_per_sec.to_json())]))])
             }
-            ProcessSpec::Mmpp { states } => obj([("mmpp", obj([("states", states.to_json())]))]),
-            ProcessSpec::Diurnal {
+            ArrivalProcess::Mmpp { states } => obj([("mmpp", obj([("states", states.to_json())]))]),
+            ArrivalProcess::Diurnal {
                 base_rate_per_sec,
                 amplitude,
                 period_secs,
@@ -2179,7 +1897,7 @@ impl ToJson for ProcessSpec {
                     ("period_secs", period_secs.to_json()),
                 ]),
             )]),
-            ProcessSpec::FlashCrowd {
+            ArrivalProcess::FlashCrowd {
                 base_rate_per_sec,
                 multiplier,
                 every_secs,
@@ -2197,24 +1915,24 @@ impl ToJson for ProcessSpec {
     }
 }
 
-impl FromJson for ProcessSpec {
+impl FromJson for ArrivalProcess {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         if let Some(inner) = v.get("poisson") {
-            Ok(ProcessSpec::Poisson {
+            Ok(ArrivalProcess::Poisson {
                 rate_per_sec: inner.field("rate_per_sec")?,
             })
         } else if let Some(inner) = v.get("mmpp") {
-            Ok(ProcessSpec::Mmpp {
+            Ok(ArrivalProcess::Mmpp {
                 states: inner.field("states")?,
             })
         } else if let Some(inner) = v.get("diurnal") {
-            Ok(ProcessSpec::Diurnal {
+            Ok(ArrivalProcess::Diurnal {
                 base_rate_per_sec: inner.field("base_rate_per_sec")?,
                 amplitude: inner.field("amplitude")?,
                 period_secs: inner.field("period_secs")?,
             })
         } else if let Some(inner) = v.get("flash_crowd") {
-            Ok(ProcessSpec::FlashCrowd {
+            Ok(ArrivalProcess::FlashCrowd {
                 base_rate_per_sec: inner.field("base_rate_per_sec")?,
                 multiplier: inner.field("multiplier")?,
                 every_secs: inner.field("every_secs")?,
@@ -2231,20 +1949,9 @@ impl FromJson for ProcessSpec {
 impl ToJson for TxnStreamSpec {
     fn to_json(&self) -> Json {
         let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.extend([
-            ("curve", self.curve.to_json()),
-            ("demand_mcycles", self.demand_mcycles.to_json()),
-            ("floor_secs", self.floor_secs.to_json()),
-            ("goal_secs", self.goal_secs.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("max_instances", self.max_instances.to_json()),
-        ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
+        push_name(&mut fields, &self.name);
+        fields.push(("curve", self.curve.to_json()));
+        self.shape.write_json(&mut fields);
         obj(fields)
     }
 }
@@ -2254,12 +1961,7 @@ impl FromJson for TxnStreamSpec {
         Ok(TxnStreamSpec {
             name: v.field_or("name")?,
             curve: v.field("curve")?,
-            demand_mcycles: v.field("demand_mcycles")?,
-            floor_secs: v.field("floor_secs")?,
-            goal_secs: v.field("goal_secs")?,
-            memory_mb: v.field("memory_mb")?,
-            max_instances: v.field("max_instances")?,
-            resources: resources_from_json(v.get("resources"))?,
+            shape: TxnShapeSpec::read_json(v, "txn stream")?,
         })
     }
 }
@@ -2555,14 +2257,6 @@ impl FromJson for ScenarioSpec {
     }
 }
 
-/// Converts a scenario goal into its submission form.
-fn goal_submission(goal: &GoalSpec) -> GoalSubmission {
-    match goal {
-        GoalSpec::Factor(f) => GoalSubmission::Factor(*f),
-        GoalSpec::RelativeSecs(s) => GoalSubmission::RelativeSecs(*s),
-    }
-}
-
 fn arrival_times(rng: &mut StdRng, spec: &ArrivalSpec, count: usize) -> Vec<SimTime> {
     match spec {
         ArrivalSpec::Exponential { mean_secs } => {
@@ -2604,14 +2298,16 @@ mod tests {
             jobs: vec![JobGroupSpec {
                 count: 4,
                 name: None,
-                work_mcycles: 20_000.0,
-                max_speed_mhz: 1_000.0,
-                memory_mb: 1_000.0,
-                goal: GoalSpec::Factor(4.0),
                 arrivals: ArrivalSpec::Periodic { every_secs: 15.0 },
-                tasks: 1,
-                class: None,
-                resources: BTreeMap::new(),
+                shape: JobShapeSpec {
+                    work_mcycles: 20_000.0,
+                    max_speed_mhz: 1_000.0,
+                    memory_mb: 1_000.0,
+                    goal: GoalSubmission::Factor(4.0),
+                    tasks: 1,
+                    class: None,
+                    resources: BTreeMap::new(),
+                },
             }],
             txns: vec![],
             workload: None,
@@ -2621,6 +2317,22 @@ mod tests {
             sharding: None,
             observation: None,
             trace: TraceSpec::default(),
+        }
+    }
+
+    /// A small constant-rate web tier.
+    fn web_txn(name: Option<&str>) -> TxnSpec {
+        TxnSpec {
+            name: name.map(str::to_string),
+            rate: RateSpec::Constant(5.0),
+            shape: TxnShapeSpec {
+                demand_mcycles: 10.0,
+                floor_secs: 0.005,
+                goal_secs: 0.05,
+                memory_mb: 500.0,
+                max_instances: 2,
+                resources: BTreeMap::new(),
+            },
         }
     }
 
@@ -2673,7 +2385,7 @@ mod tests {
         let mut spec = minimal("apc");
         spec.jobs[0].arrivals = ArrivalSpec::At(vec![0.0, 5.0, 7.5]);
         spec.jobs[0].count = 3;
-        spec.jobs[0].goal = GoalSpec::RelativeSecs(500.0);
+        spec.jobs[0].shape.goal = GoalSubmission::RelativeSecs(500.0);
         let metrics = spec.build().run();
         assert_eq!(metrics.completions.len(), 3);
         assert!(metrics.completions.iter().all(|c| c.met_deadline));
@@ -2682,7 +2394,7 @@ mod tests {
     #[test]
     fn parallel_group_under_apc() {
         let mut spec = minimal("apc");
-        spec.jobs[0].tasks = 2;
+        spec.jobs[0].shape.tasks = 2;
         spec.jobs[0].count = 2;
         let metrics = spec.build().run();
         assert_eq!(metrics.completions.len(), 2);
@@ -2721,10 +2433,12 @@ mod tests {
     #[test]
     fn parallel_jobs_under_baseline_rejected_at_load_time() {
         let mut spec = minimal("fcfs");
-        spec.jobs[0].tasks = 2;
+        spec.jobs[0].shape.tasks = 2;
         assert_eq!(
             spec.validate(),
-            Err(ScenarioError::ParallelJobsNeedApc { group_index: 0 })
+            Err(ScenarioError::ParallelJobsNeedApc {
+                field: "jobs[0].tasks".to_string(),
+            })
         );
     }
 
@@ -2864,12 +2578,57 @@ mod tests {
         ));
 
         let mut spec = minimal("edf");
-        spec.jobs[0].goal = GoalSpec::RelativeSecs(f64::INFINITY);
+        spec.jobs[0].shape.goal = GoalSubmission::RelativeSecs(f64::INFINITY);
         assert!(matches!(
             spec.validate(),
             Err(ScenarioError::NonFiniteNumber { ref field, .. })
                 if field == "jobs[0].goal.relative_secs"
         ));
+
+        // A deadline at or before the arrival used to pass validation and
+        // panic mid-run inside CompletionGoal::new; the CLI surfaces the
+        // typed error and exits 1 instead.
+        for secs in [0.0, -5.0] {
+            let mut spec = minimal("apc");
+            spec.jobs[0].shape.goal = GoalSubmission::RelativeSecs(secs);
+            assert_eq!(
+                spec.validate(),
+                Err(ScenarioError::NonPositiveNumber {
+                    field: "jobs[0].goal.relative_secs".to_string(),
+                    value: secs,
+                })
+            );
+            assert!(spec.build_checked().is_err());
+            let err = ScenarioSpec::from_json_str(&spec.to_json_string()).unwrap_err();
+            assert!(
+                err.message
+                    .contains("jobs[0].goal.relative_secs must be > 0"),
+                "{}",
+                err.message
+            );
+        }
+
+        // Stream shapes report through the same variants and full paths.
+        let mut spec = minimal("apc");
+        spec.workload = Some(WorkloadSpec {
+            batch_streams: vec![BatchStreamSpec {
+                name: None,
+                process: ArrivalProcess::Poisson { rate_per_sec: 0.5 },
+                count: Some(2),
+                shape: JobShapeSpec {
+                    goal: GoalSubmission::RelativeSecs(0.0),
+                    ..spec.jobs[0].shape.clone()
+                },
+            }],
+            txn_streams: vec![],
+        });
+        assert_eq!(
+            spec.validate(),
+            Err(ScenarioError::NonPositiveNumber {
+                field: "workload.batch_streams[0].goal.relative_secs".to_string(),
+                value: 0.0,
+            })
+        );
 
         let mut spec = minimal("apc");
         spec.cycle_secs = f64::NAN;
@@ -2896,14 +2655,8 @@ mod tests {
     fn txn_steps_pattern() {
         let mut spec = minimal("apc");
         spec.txns = vec![TxnSpec {
-            name: None,
             rate: RateSpec::Steps(vec![(0.0, 10.0), (100.0, 50.0)]),
-            demand_mcycles: 10.0,
-            floor_secs: 0.005,
-            goal_secs: 0.05,
-            memory_mb: 500.0,
-            max_instances: 2,
-            resources: BTreeMap::new(),
+            ..web_txn(None)
         }];
         let metrics = spec.build().run();
         assert!(metrics.samples.iter().any(|s| s.txn_rp.is_some()));
@@ -2926,16 +2679,7 @@ mod tests {
         // A job and a txn collide in the shared application namespace.
         let mut spec = minimal("apc");
         spec.jobs[0].name = Some("web".to_string());
-        spec.txns = vec![TxnSpec {
-            name: Some("web".to_string()),
-            rate: RateSpec::Constant(5.0),
-            demand_mcycles: 10.0,
-            floor_secs: 0.005,
-            goal_secs: 0.05,
-            memory_mb: 500.0,
-            max_instances: 2,
-            resources: BTreeMap::new(),
-        }];
+        spec.txns = vec![web_txn(Some("web"))];
         assert_eq!(
             spec.validate(),
             Err(ScenarioError::DuplicateName {
@@ -2953,7 +2697,10 @@ mod tests {
     #[test]
     fn undeclared_resource_is_a_typed_error() {
         let mut spec = minimal("apc");
-        spec.jobs[0].resources.insert("disk_mb".to_string(), 100.0);
+        spec.jobs[0]
+            .shape
+            .resources
+            .insert("disk_mb".to_string(), 100.0);
         assert_eq!(
             spec.validate(),
             Err(ScenarioError::UnknownResource {
@@ -2982,18 +2729,13 @@ mod tests {
             ("net_mbps".to_string(), 1_000.0),
         ]);
         spec.jobs[0]
+            .shape
             .resources
             .insert("disk_mb".to_string(), 2_000.0);
-        spec.txns = vec![TxnSpec {
-            name: Some("frontend".to_string()),
-            rate: RateSpec::Constant(20.0),
-            demand_mcycles: 10.0,
-            floor_secs: 0.005,
-            goal_secs: 0.05,
-            memory_mb: 500.0,
-            max_instances: 2,
-            resources: BTreeMap::from([("net_mbps".to_string(), 200.0)]),
-        }];
+        let mut frontend = web_txn(Some("frontend"));
+        frontend.rate = RateSpec::Constant(20.0);
+        frontend.shape.resources = BTreeMap::from([("net_mbps".to_string(), 200.0)]);
+        spec.txns = vec![frontend];
         let metrics = spec.build().run();
         assert_eq!(metrics.completions.len(), 4);
         // Per-dimension utilization is sampled for the extra dimensions.
@@ -3004,7 +2746,7 @@ mod tests {
         let back = ScenarioSpec::from_json_str(&spec.to_json_string()).unwrap();
         assert_eq!(back.resources, spec.resources);
         assert_eq!(back.nodes[0].resources, spec.nodes[0].resources);
-        assert_eq!(back.txns[0].resources, spec.txns[0].resources);
+        assert_eq!(back.txns[0].shape, spec.txns[0].shape);
     }
 
     #[test]
@@ -3086,7 +2828,7 @@ mod tests {
     fn zero_tasks_and_zero_max_instances_are_rejected() {
         // `tasks: 0` used to silently degrade to an ordinary job.
         let mut spec = minimal("apc");
-        spec.jobs[0].tasks = 0;
+        spec.jobs[0].shape.tasks = 0;
         assert!(matches!(
             spec.validate(),
             Err(ScenarioError::NonPositiveNumber { ref field, .. }) if field == "jobs[0].tasks"
@@ -3094,16 +2836,8 @@ mod tests {
 
         // A txn capped at zero instances can never be placed at all.
         let mut spec = minimal("apc");
-        spec.txns = vec![TxnSpec {
-            name: None,
-            rate: RateSpec::Constant(5.0),
-            demand_mcycles: 10.0,
-            floor_secs: 0.005,
-            goal_secs: 0.05,
-            memory_mb: 500.0,
-            max_instances: 0,
-            resources: BTreeMap::new(),
-        }];
+        spec.txns = vec![web_txn(None)];
+        spec.txns[0].shape.max_instances = 0;
         assert!(matches!(
             spec.validate(),
             Err(ScenarioError::NonPositiveNumber { ref field, .. })
@@ -3281,6 +3015,52 @@ mod tests {
             spec.nodes[0].resources,
             BTreeMap::from([("disk_mb".to_string(), 8_000.0)])
         );
+        // Both stream lists accept the same spelling, and parse to the
+        // spec the top-level spelling gives.
+        let streams = |batch_memory: &str, txn_memory: &str| {
+            let json = format!(
+                r#"{{
+                "scheduler": "apc", "cycle_secs": 10.0, "horizon_secs": 500.0,
+                "resources": ["disk_mb"],
+                "nodes": [{{ "count": 2, "cpu_mhz": 2000.0, "memory_mb": 4000.0 }}],
+                "jobs": [], "txns": [],
+                "workload": {{
+                    "batch_streams": [{{
+                        "process": {{ "poisson": {{ "rate_per_sec": 0.1 }} }}, "count": 3,
+                        "work_mcycles": 2000.0, "max_speed_mhz": 500.0,
+                        "goal": {{ "factor": 3.0 }}, {batch_memory}
+                    }}],
+                    "txn_streams": [{{
+                        "curve": {{ "constant": {{ "rate_per_sec": 5.0 }} }},
+                        "demand_mcycles": 10.0, "floor_secs": 0.005, "goal_secs": 0.05,
+                        "max_instances": 2, {txn_memory}
+                    }}]
+                }}
+            }}"#
+            );
+            ScenarioSpec::from_json_str(&json).unwrap()
+        };
+        let nested = streams(
+            r#""resources": { "memory_mb": 256.0, "disk_mb": 10.0 }"#,
+            r#""resources": { "memory_mb": 512.0 }"#,
+        );
+        let flat = streams(
+            r#""memory_mb": 256.0, "resources": { "disk_mb": 10.0 }"#,
+            r#""memory_mb": 512.0"#,
+        );
+        let (a, b) = (nested.workload.as_ref(), flat.workload.as_ref());
+        assert_eq!(a.unwrap().batch_streams[0].shape.memory_mb, 256.0);
+        assert_eq!(
+            a.unwrap().batch_streams[0].shape,
+            b.unwrap().batch_streams[0].shape
+        );
+        assert_eq!(a.unwrap().txn_streams[0].shape.memory_mb, 512.0);
+        assert_eq!(
+            a.unwrap().txn_streams[0].shape,
+            b.unwrap().txn_streams[0].shape
+        );
+        assert_eq!(nested.to_json_string(), flat.to_json_string());
+
         // Memory-only scenarios render without any resources fields, so
         // checked-in legacy files and goldens stay byte-stable.
         let legacy = minimal("apc");

@@ -1,7 +1,5 @@
 //! Behavioural tests of the discrete-event engine across schedulers.
 
-#![deny(deprecated)]
-
 use dynaplace_apc::optimizer::ApcConfig;
 use dynaplace_apc::PolicyHandle;
 use dynaplace_batch::job::{JobProfile, JobSpec};

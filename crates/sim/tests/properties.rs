@@ -1,9 +1,8 @@
 //! Property-based tests of the simulator: randomized declarative
 //! scenarios must uphold global invariants under every scheduler.
 
-#![deny(deprecated)]
-
-use dynaplace_sim::spec::{ArrivalSpec, GoalSpec, JobGroupSpec, NodeGroupSpec, ScenarioSpec};
+use dynaplace_sim::spec::{ArrivalSpec, JobGroupSpec, JobShapeSpec, NodeGroupSpec, ScenarioSpec};
+use dynaplace_sim::GoalSubmission;
 use proptest::prelude::*;
 
 fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
@@ -29,16 +28,18 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
             |(count, work, speed, memory, factor, spacing)| JobGroupSpec {
                 count,
                 name: None,
-                work_mcycles: work,
-                max_speed_mhz: speed,
-                memory_mb: memory,
-                goal: GoalSpec::Factor(factor),
                 arrivals: ArrivalSpec::Periodic {
                     every_secs: spacing,
                 },
-                tasks: 1,
-                class: None,
-                resources: Default::default(),
+                shape: JobShapeSpec {
+                    work_mcycles: work,
+                    max_speed_mhz: speed,
+                    memory_mb: memory,
+                    goal: GoalSubmission::Factor(factor),
+                    tasks: 1,
+                    class: None,
+                    resources: Default::default(),
+                },
             },
         );
     (
@@ -77,7 +78,7 @@ fn serviceable(spec: &ScenarioSpec) -> bool {
     let node = &spec.nodes[0];
     spec.jobs
         .iter()
-        .all(|g| g.memory_mb <= node.memory_mb && g.max_speed_mhz > 0.0)
+        .all(|g| g.shape.memory_mb <= node.memory_mb && g.shape.max_speed_mhz > 0.0)
 }
 
 proptest! {
@@ -114,7 +115,7 @@ proptest! {
         let mut best = Vec::new();
         for g in &spec.jobs {
             for _ in 0..g.count {
-                best.push(g.work_mcycles / g.max_speed_mhz);
+                best.push(g.shape.work_mcycles / g.shape.max_speed_mhz);
             }
         }
         for c in &metrics.completions {

@@ -1,7 +1,5 @@
 //! Property-based tests for the solvers.
 
-#![deny(deprecated)]
-
 use dynaplace_solver::bisect::bisect_max;
 use dynaplace_solver::maxflow::FlowNetwork;
 use dynaplace_solver::piecewise::PiecewiseLinear;

@@ -30,10 +30,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dynaplace_sim::spec::{
-    ActuationSpec, ArrivalSpec, BatchStreamSpec, GoalSpec, JobGroupSpec, NodeFailureSpec,
-    NodeGroupSpec, ObservationSpec, ProcessSpec, RateSpec, ScenarioSpec, ShardingSpec, TraceSpec,
-    TxnCurveSpec, TxnSpec, TxnStreamSpec, WorkloadSpec,
+    ActuationSpec, ArrivalSpec, BatchStreamSpec, JobGroupSpec, JobShapeSpec, NodeFailureSpec,
+    NodeGroupSpec, ObservationSpec, RateSpec, ScenarioSpec, ShardingSpec, TraceSpec, TxnCurveSpec,
+    TxnShapeSpec, TxnSpec, TxnStreamSpec, WorkloadSpec,
 };
+use dynaplace_sim::{ArrivalProcess, GoalSubmission};
 use proptest::{Strategy, TestCaseError, TestCaseResult, TestRng};
 
 /// Tuning knobs for [`gen_scenario`]. Presets cover the common fuzzing
@@ -321,6 +322,43 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
         }
         block
     };
+    let draw_tasks = |rng: &mut TestRng| {
+        if profile.parallel_jobs && apc && node_count > 1 && chance(rng, 4) {
+            int(rng, 2, node_count.min(3)) as u32
+        } else {
+            1
+        }
+    };
+    // One job shape, whichever list it rides in; the lists differ only
+    // in their work range, memory and demand bounds, and class tag. The
+    // shapes draw in the field order both lists always used, so a seed
+    // still yields the same spec.
+    let job_shape = |rng: &mut TestRng,
+                     work: (f64, f64),
+                     memory_frac: f64,
+                     (demand_frac, keep): (f64, u64),
+                     tasks: u32,
+                     class: String| JobShapeSpec {
+        work_mcycles: f8(rng, work.0, work.1),
+        max_speed_mhz: f8(rng, 300.0, 1_200.0),
+        memory_mb: f8(rng, 64.0, min_mem * memory_frac),
+        goal: if chance(rng, 2) {
+            GoalSubmission::Factor(f8(rng, 2.0, 8.0))
+        } else {
+            GoalSubmission::RelativeSecs(f8(rng, 600.0, 5_000.0))
+        },
+        tasks,
+        class: chance(rng, 6).then_some(class),
+        resources: rigid_demands(rng, demand_frac, keep),
+    };
+    let txn_shape = |rng: &mut TestRng| TxnShapeSpec {
+        demand_mcycles: f8(rng, 5.0, 40.0),
+        floor_secs: f8(rng, 0.002, 0.01).max(0.002),
+        goal_secs: f8(rng, 0.05, 0.3),
+        memory_mb: f8(rng, 64.0, min_mem * 0.5),
+        max_instances: int(rng, 1, node_count.min(4)) as u32,
+        resources: rigid_demands(rng, 0.3, 3),
+    };
 
     // Batch job groups (always at least one: every run has work, so
     // horizon-free runs terminate at the last completion).
@@ -346,38 +384,23 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
                 mean_secs: f8(rng, 30.0, 300.0),
             },
         };
-        let tasks = if profile.parallel_jobs && apc && node_count > 1 && chance(rng, 4) {
-            int(rng, 2, node_count.min(3)) as u32
-        } else {
-            1
-        };
+        let tasks = draw_tasks(rng);
+        let name = gen_name(rng, profile, "j", j);
+        let class = format!("class-{j}");
+        let shape = job_shape(rng, (4_000.0, 30_000.0), 0.6, (0.4, 2), tasks, class);
         jobs.push(JobGroupSpec {
             count,
-            name: gen_name(rng, profile, "j", j),
-            work_mcycles: f8(rng, 4_000.0, 30_000.0),
-            max_speed_mhz: f8(rng, 300.0, 1_200.0),
-            memory_mb: f8(rng, 64.0, min_mem * 0.6),
-            goal: if chance(rng, 2) {
-                GoalSpec::Factor(f8(rng, 2.0, 8.0))
-            } else {
-                GoalSpec::RelativeSecs(f8(rng, 600.0, 5_000.0))
-            },
+            name,
             arrivals,
-            tasks,
-            class: if chance(rng, 6) {
-                Some(format!("class-{j}"))
-            } else {
-                None
-            },
-            resources: rigid_demands(rng, 0.4, 2),
+            shape,
         });
     }
     // Distinct per-group work values keep objective ties (and therefore
     // id-dependent tie-breaks) out of the metamorphic relations.
     let mut seen_work = std::collections::BTreeSet::new();
     for group in &mut jobs {
-        while !seen_work.insert(group.work_mcycles.to_bits()) {
-            group.work_mcycles += 0.125;
+        while !seen_work.insert(group.shape.work_mcycles.to_bits()) {
+            group.shape.work_mcycles += 0.125;
         }
     }
 
@@ -396,15 +419,11 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
             }
             RateSpec::Steps(steps)
         };
+        let name = gen_name(rng, profile, "t", t);
         txns.push(TxnSpec {
-            name: gen_name(rng, profile, "t", t),
+            name,
             rate,
-            demand_mcycles: f8(rng, 5.0, 40.0),
-            floor_secs: f8(rng, 0.002, 0.01).max(0.002),
-            goal_secs: f8(rng, 0.05, 0.3),
-            memory_mb: f8(rng, 64.0, min_mem * 0.5),
-            max_instances: int(rng, 1, node_count.min(4)) as u32,
-            resources: rigid_demands(rng, 0.3, 3),
+            shape: txn_shape(rng),
         });
     }
 
@@ -418,7 +437,7 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
         let mut batch_streams = Vec::with_capacity(n_streams);
         for s in 0..n_streams {
             let process = match int(rng, 0, 3) {
-                0 => ProcessSpec::Poisson {
+                0 => ArrivalProcess::Poisson {
                     rate_per_sec: f8(rng, 0.125, 0.5),
                 },
                 1 => {
@@ -429,11 +448,11 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
                     for _ in 0..int(rng, 1, 2) {
                         states.push((f8(rng, 0.0, 0.375), f8(rng, 60.0, 600.0)));
                     }
-                    ProcessSpec::Mmpp { states }
+                    ArrivalProcess::Mmpp { states }
                 }
                 2 => {
                     let base = f8(rng, 0.125, 0.5);
-                    ProcessSpec::Diurnal {
+                    ArrivalProcess::Diurnal {
                         base_rate_per_sec: base,
                         // Amplitude may exceed nothing: troughs clamp
                         // at zero inside the process itself.
@@ -441,39 +460,25 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
                         period_secs: f8(rng, 600.0, 3_000.0),
                     }
                 }
-                _ => ProcessSpec::FlashCrowd {
+                _ => ArrivalProcess::FlashCrowd {
                     base_rate_per_sec: f8(rng, 0.125, 0.375),
                     multiplier: f8(rng, 2.0, 8.0),
                     every_secs: f8(rng, 200.0, 800.0),
                     duration_secs: f8(rng, 30.0, 120.0),
                 },
             };
-            let tasks = if profile.parallel_jobs && apc && node_count > 1 && chance(rng, 4) {
-                int(rng, 2, node_count.min(3)) as u32
-            } else {
-                1
-            };
+            let tasks = draw_tasks(rng);
+            let name = gen_name(rng, profile, "ws", s);
+            // Always bounded, so horizon-free runs terminate and the
+            // no-starvation oracle covers every generated job.
+            let count = Some(int(rng, 1, 4) as u64);
+            let class = format!("stream-{s}");
+            let shape = job_shape(rng, (2_000.0, 12_000.0), 0.5, (0.3, 3), tasks, class);
             batch_streams.push(BatchStreamSpec {
-                name: gen_name(rng, profile, "ws", s),
+                name,
                 process,
-                // Always bounded, so horizon-free runs terminate and
-                // the no-starvation oracle covers every generated job.
-                count: Some(int(rng, 1, 4) as u64),
-                work_mcycles: f8(rng, 2_000.0, 12_000.0),
-                max_speed_mhz: f8(rng, 300.0, 1_200.0),
-                memory_mb: f8(rng, 64.0, min_mem * 0.5),
-                goal: if chance(rng, 2) {
-                    GoalSpec::Factor(f8(rng, 2.0, 8.0))
-                } else {
-                    GoalSpec::RelativeSecs(f8(rng, 600.0, 5_000.0))
-                },
-                tasks,
-                class: if chance(rng, 6) {
-                    Some(format!("stream-{s}"))
-                } else {
-                    None
-                },
-                resources: rigid_demands(rng, 0.3, 3),
+                count,
+                shape,
             });
         }
         let mut txn_streams = Vec::new();
@@ -495,15 +500,11 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
                     think_time_secs: f8(rng, 2.0, 10.0),
                 },
             };
+            let name = gen_name(rng, profile, "wt", 0);
             txn_streams.push(TxnStreamSpec {
-                name: gen_name(rng, profile, "wt", 0),
+                name,
                 curve,
-                demand_mcycles: f8(rng, 5.0, 40.0),
-                floor_secs: f8(rng, 0.002, 0.01).max(0.002),
-                goal_secs: f8(rng, 0.05, 0.3),
-                memory_mb: f8(rng, 64.0, min_mem * 0.5),
-                max_instances: int(rng, 1, node_count.min(4)) as u32,
-                resources: rigid_demands(rng, 0.3, 3),
+                shape: txn_shape(rng),
             });
         }
         Some(WorkloadSpec {
@@ -520,22 +521,24 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
     // depend on declaration order (see GenProfile::uncontended).
     if profile.uncontended {
         let floor8 = |v: f64| (v * 8.0).floor() / 8.0;
-        let job_total = |jobs: &[JobGroupSpec], f: &dyn Fn(&JobGroupSpec) -> f64| -> f64 {
+        let job_total = |jobs: &[JobGroupSpec], f: &dyn Fn(&JobShapeSpec) -> f64| -> f64 {
             jobs.iter()
-                .map(|g| f(g) * g.count as f64 * f64::from(g.tasks))
+                .map(|g| f(&g.shape) * g.count as f64 * f64::from(g.shape.tasks))
                 .sum()
         };
-        let txn_total = |txns: &[TxnSpec], f: &dyn Fn(&TxnSpec) -> f64| -> f64 {
-            txns.iter().map(|t| f(t) * f64::from(t.max_instances)).sum()
+        let txn_total = |txns: &[TxnSpec], f: &dyn Fn(&TxnShapeSpec) -> f64| -> f64 {
+            txns.iter()
+                .map(|t| f(&t.shape) * f64::from(t.shape.max_instances))
+                .sum()
         };
         let mem_total = job_total(&jobs, &|g| g.memory_mb) + txn_total(&txns, &|t| t.memory_mb);
         if mem_total > min_mem * 0.85 {
             let scale = min_mem * 0.85 / mem_total;
             for g in &mut jobs {
-                g.memory_mb = floor8(g.memory_mb * scale).max(1.0);
+                g.shape.memory_mb = floor8(g.shape.memory_mb * scale).max(1.0);
             }
             for t in &mut txns {
-                t.memory_mb = floor8(t.memory_mb * scale).max(1.0);
+                t.shape.memory_mb = floor8(t.shape.memory_mb * scale).max(1.0);
             }
         }
         for dim in &resources {
@@ -545,12 +548,12 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
             if total > cap * 0.85 {
                 let scale = cap * 0.85 / total;
                 for g in &mut jobs {
-                    if let Some(v) = g.resources.get_mut(dim) {
+                    if let Some(v) = g.shape.resources.get_mut(dim) {
                         *v = floor8(*v * scale);
                     }
                 }
                 for t in &mut txns {
-                    if let Some(v) = t.resources.get_mut(dim) {
+                    if let Some(v) = t.shape.resources.get_mut(dim) {
                         *v = floor8(*v * scale);
                     }
                 }
@@ -572,21 +575,19 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
             RateSpec::Constant(r) => *r,
             RateSpec::Steps(steps) => steps.iter().map(|(_, r)| *r).fold(0.0, f64::max),
         };
-        let txn_appetite = |t: &TxnSpec| t.demand_mcycles * (peak_rate(t) + 1.0 / t.floor_secs);
-        let cpu_total: f64 = jobs
-            .iter()
-            .map(|g| g.max_speed_mhz * g.count as f64 * f64::from(g.tasks))
-            .sum::<f64>()
-            + txns.iter().map(txn_appetite).sum::<f64>();
+        let txn_appetite =
+            |t: &TxnSpec| t.shape.demand_mcycles * (peak_rate(t) + 1.0 / t.shape.floor_secs);
+        let cpu_total: f64 =
+            job_total(&jobs, &|g| g.max_speed_mhz) + txns.iter().map(txn_appetite).sum::<f64>();
         if cpu_total > min_cpu * 0.85 {
             let scale = min_cpu * 0.85 / cpu_total;
             for g in &mut jobs {
-                g.max_speed_mhz = floor8(g.max_speed_mhz * scale).max(8.0);
+                g.shape.max_speed_mhz = floor8(g.shape.max_speed_mhz * scale).max(8.0);
             }
             // Appetite is linear in the per-request demand for a fixed
             // floor and rate, so scaling `d` scales the whole term.
             for t in &mut txns {
-                t.demand_mcycles = floor8(t.demand_mcycles * scale).max(0.125);
+                t.shape.demand_mcycles = floor8(t.shape.demand_mcycles * scale).max(0.125);
             }
         }
     }
@@ -835,17 +836,17 @@ fn mutations(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
             g.resources.remove(&dim);
         }
         for g in &mut s.jobs {
-            g.resources.remove(&dim);
+            g.shape.resources.remove(&dim);
         }
         for t in &mut s.txns {
-            t.resources.remove(&dim);
+            t.shape.resources.remove(&dim);
         }
         if let Some(w) = &mut s.workload {
             for b in &mut w.batch_streams {
-                b.resources.remove(&dim);
+                b.shape.resources.remove(&dim);
             }
             for t in &mut w.txn_streams {
-                t.resources.remove(&dim);
+                t.shape.resources.remove(&dim);
             }
         }
         out.push(s);
@@ -871,26 +872,17 @@ fn mutations(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
             s.jobs[i].count = halved;
             out.push(s);
         }
-        if group.tasks > 1 {
+        out.extend(job_entry_mutations(&group.name, &group.shape, |edit| {
             let mut s = spec.clone();
-            s.jobs[i].tasks = 1;
-            out.push(s);
-        }
-        if group.name.is_some() {
-            let mut s = spec.clone();
-            s.jobs[i].name = None;
-            out.push(s);
-        }
-        if group.class.is_some() {
-            let mut s = spec.clone();
-            s.jobs[i].class = None;
-            out.push(s);
-        }
+            let g = &mut s.jobs[i];
+            edit(&mut g.name, &mut g.shape);
+            s
+        }));
     }
     for i in 0..spec.txns.len() {
-        if spec.txns[i].max_instances > 1 {
+        if spec.txns[i].shape.max_instances > 1 {
             let mut s = spec.clone();
-            s.txns[i].max_instances = 1;
+            s.txns[i].shape.max_instances = 1;
             out.push(s);
         }
         if spec.txns[i].name.is_some() {
@@ -919,20 +911,14 @@ fn mutations(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
             if stream.count.is_some_and(|c| c > 1) {
                 out.push(with(&|b| b.count = b.count.map(|c| c / 2)));
             }
-            if !matches!(stream.process, ProcessSpec::Poisson { .. }) {
+            if !matches!(stream.process, ArrivalProcess::Poisson { .. }) {
                 out.push(with(&|b| {
-                    b.process = ProcessSpec::Poisson { rate_per_sec: 0.25 }
+                    b.process = ArrivalProcess::Poisson { rate_per_sec: 0.25 }
                 }));
             }
-            if stream.tasks > 1 {
-                out.push(with(&|b| b.tasks = 1));
-            }
-            if stream.name.is_some() {
-                out.push(with(&|b| b.name = None));
-            }
-            if stream.class.is_some() {
-                out.push(with(&|b| b.class = None));
-            }
+            out.extend(job_entry_mutations(&stream.name, &stream.shape, |edit| {
+                with(&|b| edit(&mut b.name, &mut b.shape))
+            }));
         }
         for i in 0..workload.txn_streams.len() {
             let stream = &workload.txn_streams[i];
@@ -941,8 +927,8 @@ fn mutations(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
                 f(&mut s.workload.as_mut().expect("cloned").txn_streams[i]);
                 s
             };
-            if stream.max_instances > 1 {
-                out.push(with(&|t| t.max_instances = 1));
+            if stream.shape.max_instances > 1 {
+                out.push(with(&|t| t.shape.max_instances = 1));
             }
             if !matches!(stream.curve, TxnCurveSpec::Constant { .. }) {
                 out.push(with(&|t| {
@@ -992,6 +978,27 @@ fn mutations(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
                 out.push(s);
             }
         }
+    }
+    out
+}
+
+/// The simplifications every job list entry shares, in the order the
+/// shrinker tries them: one task, no name, no class. `edit` applies one
+/// to the entry's name and shape inside a fresh copy of the spec.
+fn job_entry_mutations(
+    name: &Option<String>,
+    shape: &JobShapeSpec,
+    edit: impl Fn(&dyn Fn(&mut Option<String>, &mut JobShapeSpec)) -> ScenarioSpec,
+) -> Vec<ScenarioSpec> {
+    let mut out = Vec::new();
+    if shape.tasks > 1 {
+        out.push(edit(&|_, shape| shape.tasks = 1));
+    }
+    if name.is_some() {
+        out.push(edit(&|name, _| *name = None));
+    }
+    if shape.class.is_some() {
+        out.push(edit(&|_, shape| shape.class = None));
     }
     out
 }

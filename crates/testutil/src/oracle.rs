@@ -17,7 +17,7 @@
 //!   [`DiffOptions::ignore_rigid_utilization`].
 
 use dynaplace_sim::metrics::{CompletionRecord, CycleSample, RunMetrics};
-use dynaplace_sim::spec::{ActuationSpec, ArrivalSpec, ScenarioSpec};
+use dynaplace_sim::spec::{ActuationSpec, ScenarioSpec};
 use dynaplace_sim::{Simulation, Submission};
 
 use crate::render_placement_diff;
@@ -61,32 +61,27 @@ struct AppModel {
 fn app_models(spec: &ScenarioSpec) -> Vec<AppModel> {
     let mut apps = Vec::new();
     for (j, group) in spec.jobs.iter().enumerate() {
-        let arrivals = match &group.arrivals {
-            ArrivalSpec::At(times) => times.len(),
-            _ => group.count,
-        };
-        let mut rigid = vec![group.memory_mb];
-        for dim in &spec.resources {
-            rigid.push(group.resources.get(dim).copied().unwrap_or(0.0));
-        }
-        for _ in 0..arrivals {
+        let template = group.shape.template(&spec.resources);
+        for _ in 0..group.job_count() {
             apps.push(AppModel {
                 label: format!("job group {j}"),
-                rigid: rigid.clone(),
-                max_instances: group.tasks,
+                rigid: std::iter::once(template.memory_mb)
+                    .chain(template.extra_rigid.iter().copied())
+                    .collect(),
+                max_instances: template.tasks,
                 is_job: true,
             });
         }
     }
     for (t, txn) in spec.txns.iter().enumerate() {
-        let mut rigid = vec![txn.memory_mb];
+        let mut rigid = vec![txn.shape.memory_mb];
         for dim in &spec.resources {
-            rigid.push(txn.resources.get(dim).copied().unwrap_or(0.0));
+            rigid.push(txn.shape.resources.get(dim).copied().unwrap_or(0.0));
         }
         apps.push(AppModel {
             label: format!("txn {t}"),
             rigid,
-            max_instances: txn.max_instances,
+            max_instances: txn.shape.max_instances,
             is_job: false,
         });
     }

@@ -129,12 +129,6 @@ impl TxnPerformanceModel {
     pub fn goal(&self) -> ResponseTimeGoal {
         self.goal
     }
-
-    /// Relative performance for an *observed* response time (used by the
-    /// simulator to report actual, rather than modeled, performance).
-    pub fn performance_of_response(&self, response: SimDuration) -> Rp {
-        self.goal.performance_at(response)
-    }
 }
 
 impl PerformanceModel for TxnPerformanceModel {

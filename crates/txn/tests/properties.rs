@@ -1,7 +1,5 @@
 //! Property-based tests for the transactional substrate.
 
-#![deny(deprecated)]
-
 use dynaplace_model::units::{CpuSpeed, SimDuration};
 use dynaplace_rpf::goal::ResponseTimeGoal;
 use dynaplace_rpf::model::PerformanceModel;

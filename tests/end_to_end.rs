@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: scaled-down versions of the paper's
 //! experiments asserting the qualitative shapes the figures show.
 
-#![deny(deprecated)]
-
 use dynaplace::apc::optimizer::ApcConfig;
 use dynaplace::apc::PolicyHandle;
 use dynaplace::model::units::SimDuration;

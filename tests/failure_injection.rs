@@ -3,8 +3,6 @@
 //! real system's profilers are regressions over noisy observations
 //! (§3.1), so robustness to estimation error is part of the contract.
 
-#![deny(deprecated)]
-
 use dynaplace::model::units::SimDuration;
 use dynaplace::sim::engine::{EstimationNoise, NodeOutage, SimConfig};
 use dynaplace::sim::scenario::{experiment_one, experiment_three, experiment_two, SharingConfig};

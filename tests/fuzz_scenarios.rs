@@ -18,8 +18,6 @@
 //! counts below total 80+ generated scenarios in the tier-1 fast path;
 //! `PROPTEST_CASES=1024` turns the same file into the CI stress sweep.
 
-#![deny(deprecated)]
-
 use std::sync::Arc;
 
 use dynaplace::apc::optimizer::ScoringMode;
@@ -283,21 +281,24 @@ fn crosses_floor(m: &RunMetrics) -> bool {
 /// placeability floor (node memory is always ≥ 2000 MB).
 fn force_workload(mut spec: ScenarioSpec) -> ScenarioSpec {
     use dynaplace::sim::spec::{
-        BatchStreamSpec, GoalSpec, ProcessSpec, TxnCurveSpec, TxnStreamSpec, WorkloadSpec,
+        BatchStreamSpec, JobShapeSpec, TxnCurveSpec, TxnShapeSpec, TxnStreamSpec, WorkloadSpec,
     };
+    use dynaplace::sim::{ArrivalProcess, GoalSubmission};
     if spec.workload.is_none() {
         spec.workload = Some(WorkloadSpec {
             batch_streams: vec![BatchStreamSpec {
                 name: Some("forced-stream".to_string()),
-                process: ProcessSpec::Poisson { rate_per_sec: 0.25 },
+                process: ArrivalProcess::Poisson { rate_per_sec: 0.25 },
                 count: Some(3),
-                work_mcycles: 3_000.0,
-                max_speed_mhz: 600.0,
-                memory_mb: 128.0,
-                goal: GoalSpec::Factor(6.0),
-                tasks: 1,
-                class: None,
-                resources: Default::default(),
+                shape: JobShapeSpec {
+                    work_mcycles: 3_000.0,
+                    max_speed_mhz: 600.0,
+                    memory_mb: 128.0,
+                    goal: GoalSubmission::Factor(6.0),
+                    tasks: 1,
+                    class: None,
+                    resources: Default::default(),
+                },
             }],
             txn_streams: vec![TxnStreamSpec {
                 name: Some("forced-curve".to_string()),
@@ -305,12 +306,14 @@ fn force_workload(mut spec: ScenarioSpec) -> ScenarioSpec {
                     users: 50.0,
                     think_time_secs: 5.0,
                 },
-                demand_mcycles: 10.0,
-                floor_secs: 0.002,
-                goal_secs: 0.125,
-                memory_mb: 128.0,
-                max_instances: 1,
-                resources: Default::default(),
+                shape: TxnShapeSpec {
+                    demand_mcycles: 10.0,
+                    floor_secs: 0.002,
+                    goal_secs: 0.125,
+                    memory_mb: 128.0,
+                    max_instances: 1,
+                    resources: Default::default(),
+                },
             }],
         });
     }

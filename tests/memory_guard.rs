@@ -12,12 +12,11 @@
 //! `simulate tests/perf/streaming_memory_guard.json --generate --strict
 //! --max-rss-mb <MB>`, relaxed on every push and tight nightly.
 
-#![deny(deprecated)]
-
 use dynaplace::sim::spec::{
-    BatchStreamSpec, GoalSpec, ProcessSpec, ScenarioSpec, TxnCurveSpec, TxnStreamSpec, WorkloadSpec,
+    BatchStreamSpec, JobShapeSpec, ScenarioSpec, TxnCurveSpec, TxnShapeSpec, TxnStreamSpec,
+    WorkloadSpec,
 };
-use dynaplace::sim::MetricsRetention;
+use dynaplace::sim::{ArrivalProcess, GoalSubmission, MetricsRetention};
 
 const JOBS: u64 = 1_000;
 
@@ -44,15 +43,17 @@ fn firehose_spec() -> ScenarioSpec {
         workload: Some(WorkloadSpec {
             batch_streams: vec![BatchStreamSpec {
                 name: Some("firehose".to_string()),
-                process: ProcessSpec::Poisson { rate_per_sec: 2.0 },
+                process: ArrivalProcess::Poisson { rate_per_sec: 2.0 },
                 count: Some(JOBS),
-                work_mcycles: 600.0,
-                max_speed_mhz: 600.0,
-                memory_mb: 256.0,
-                goal: GoalSpec::Factor(20.0),
-                tasks: 1,
-                class: None,
-                resources: Default::default(),
+                shape: JobShapeSpec {
+                    work_mcycles: 600.0,
+                    max_speed_mhz: 600.0,
+                    memory_mb: 256.0,
+                    goal: GoalSubmission::Factor(20.0),
+                    tasks: 1,
+                    class: None,
+                    resources: Default::default(),
+                },
             }],
             txn_streams: vec![TxnStreamSpec {
                 name: Some("portal".to_string()),
@@ -60,12 +61,14 @@ fn firehose_spec() -> ScenarioSpec {
                     users: 100.0,
                     think_time_secs: 10.0,
                 },
-                demand_mcycles: 8.0,
-                floor_secs: 0.01,
-                goal_secs: 0.1,
-                memory_mb: 512.0,
-                max_instances: 1,
-                resources: Default::default(),
+                shape: TxnShapeSpec {
+                    demand_mcycles: 8.0,
+                    floor_secs: 0.01,
+                    goal_secs: 0.1,
+                    memory_mb: 512.0,
+                    max_instances: 1,
+                    resources: Default::default(),
+                },
             }],
         }),
         node_failures: vec![],

@@ -1,8 +1,6 @@
 //! Multi-stage jobs (§4.1) through the full stack: per-stage speed caps
 //! are honoured at the next control decision after a stage boundary.
 
-#![deny(deprecated)]
-
 use dynaplace::batch::job::{JobProfile, JobSpec, JobStage};
 use dynaplace::model::cluster::Cluster;
 use dynaplace::model::node::NodeSpec;

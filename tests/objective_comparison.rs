@@ -9,8 +9,6 @@
 //! and starves the expensive job past its deadline. Max-min gives the
 //! least-satisfied application the slot.
 
-#![deny(deprecated)]
-
 use dynaplace::apc::optimizer::{ApcConfig, Objective};
 use dynaplace::apc::PolicyHandle;
 use dynaplace::batch::job::{JobProfile, JobSpec};

@@ -4,8 +4,6 @@
 //! multi-task jobs whose progress rate is the sum of their placed
 //! tasks' speeds.
 
-#![deny(deprecated)]
-
 use dynaplace::batch::job::{JobProfile, JobSpec};
 use dynaplace::model::cluster::Cluster;
 use dynaplace::model::node::NodeSpec;

@@ -19,8 +19,6 @@
 //! including APC — runs the scenario with task counts clamped to one:
 //! each cell is the identical workload and the comparison is fair.
 
-#![deny(deprecated)]
-
 use std::path::PathBuf;
 
 use dynaplace::prelude::{policy_handles, PolicyClass};
@@ -34,7 +32,7 @@ fn mixed_workload_single_task() -> ScenarioSpec {
     let text = std::fs::read_to_string(&path).expect("mixed_workload.json is checked in");
     let mut spec = ScenarioSpec::from_json_str(&text).expect("mixed_workload.json parses");
     for group in &mut spec.jobs {
-        group.tasks = 1;
+        group.shape.tasks = 1;
     }
     spec.trace.path = None;
     spec

@@ -2,8 +2,6 @@
 //! plans with class-history work estimates instead of the (unknowable)
 //! true profiles.
 
-#![deny(deprecated)]
-
 use dynaplace::batch::job::{JobProfile, JobSpec};
 use dynaplace::model::cluster::Cluster;
 use dynaplace::model::node::NodeSpec;

@@ -4,14 +4,13 @@
 //! the desired and actual placements converge, every job completes,
 //! and the whole run stays deterministic per seed.
 
-#![deny(deprecated)]
-
 use dynaplace::model::NodeId;
 use dynaplace::sim::metrics::RunMetrics;
 use dynaplace::sim::spec::{
-    ActuationSpec, ArrivalSpec, GoalSpec, JobGroupSpec, NodeFailureSpec, NodeGroupSpec,
+    ActuationSpec, ArrivalSpec, JobGroupSpec, JobShapeSpec, NodeFailureSpec, NodeGroupSpec,
     ObservationSpec, ScenarioSpec,
 };
+use dynaplace::sim::GoalSubmission;
 use proptest::prelude::*;
 
 const NODES: usize = 3;
@@ -53,14 +52,16 @@ fn flaky_spec(
         jobs: vec![JobGroupSpec {
             count: JOBS,
             name: None,
-            work_mcycles: 300_000.0,
-            max_speed_mhz: 1_000.0,
-            memory_mb: JOB_MEMORY_MB,
-            goal: GoalSpec::Factor(10.0),
             arrivals: ArrivalSpec::Periodic { every_secs: 120.0 },
-            tasks: 1,
-            class: None,
-            resources: Default::default(),
+            shape: JobShapeSpec {
+                work_mcycles: 300_000.0,
+                max_speed_mhz: 1_000.0,
+                memory_mb: JOB_MEMORY_MB,
+                goal: GoalSubmission::Factor(10.0),
+                tasks: 1,
+                class: None,
+                resources: Default::default(),
+            },
         }],
         txns: vec![],
         workload: None,

@@ -19,8 +19,6 @@
 //! violates the invariants can never be written back as the new
 //! expectation, even under `UPDATE_GOLDEN=1`.
 
-#![deny(deprecated)]
-
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -426,11 +424,11 @@ fn license_dimension_forces_a_spread_memory_would_not() {
     memory_only
         .jobs
         .iter_mut()
-        .for_each(|g| g.resources.clear());
+        .for_each(|g| g.shape.resources.clear());
     memory_only
         .txns
         .iter_mut()
-        .for_each(|t| t.resources.clear());
+        .for_each(|t| t.shape.resources.clear());
 
     // The four `cad` jobs are the first job group, so they hold the
     // first four dense application ids.

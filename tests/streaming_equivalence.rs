@@ -11,8 +11,6 @@
 //! field that drifts, so a failure here is actionable without re-running
 //! anything.
 
-#![deny(deprecated)]
-
 use std::path::PathBuf;
 
 use dynaplace::sim::metrics::RunMetrics;

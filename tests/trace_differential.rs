@@ -6,8 +6,6 @@
 //! 2. trace *content* must be deterministic — two traced runs of the same
 //!    scenario yield byte-identical deterministic JSONL.
 
-#![deny(deprecated)]
-
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
