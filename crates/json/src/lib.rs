@@ -12,6 +12,17 @@
 //! Numbers are stored as `f64` (JSON's number model); printing uses
 //! Rust's shortest round-trip formatting, so `parse(print(x)) == x` for
 //! every finite value.
+//!
+//! Cost model: [`Json::parse`] is linear in the input size. Strings are
+//! decoded a run of plain bytes at a time, each run validated once.
+//!
+//! Strings follow RFC 8259: an invalid escape, a missing closing quote
+//! or a raw control character (bytes 0x00–0x1F) is rejected with the
+//! line and byte of the fault, as are trailing commas, single quotes and
+//! trailing garbage. The printers escape every control character, so
+//! their output always parses back. Two leniencies remain: a lone `\u`
+//! surrogate decodes to U+FFFD rather than failing, and number literals
+//! take whatever Rust's `f64` parser accepts (so `01` and `1.` parse).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -369,6 +380,19 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Take the whole run of plain bytes in one step. It ends at a
+            // quote, a backslash or a control byte — all ASCII, so the
+            // run ends on a UTF-8 boundary and one bounded validation
+            // covers it: decoding stays linear in the input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let plain = std::str::from_utf8(&rest[..run])
+                .map_err(|_| self.err("invalid UTF-8 in string"))?;
+            out.push_str(plain);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -413,14 +437,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // RFC 8259 §7: bytes 0x00–0x1F must be escaped.
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -709,6 +727,34 @@ mod tests {
             let back: f64 = text.parse().unwrap();
             assert_eq!(back, x, "{text}");
         }
+    }
+
+    #[test]
+    fn unterminated_string_reports_position() {
+        let e = Json::parse(r#""abc"#).unwrap_err();
+        assert!(e.message.contains("unterminated string"), "{e}");
+        assert!(e.message.ends_with("(line 1, byte 4)"), "{e}");
+        let e = Json::parse("{\n\"a\": \"xy\\\"").unwrap_err();
+        assert!(e.message.contains("unterminated string"), "{e}");
+        assert!(e.message.ends_with("(line 2, byte 12)"), "{e}");
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected() {
+        for code in 0u8..0x20 {
+            let text = format!("[\n\"ok{}\"]", code as char);
+            let e = Json::parse(&text).unwrap_err();
+            assert!(
+                e.message.contains("unescaped control character in string"),
+                "U+{code:04X}: {e}"
+            );
+            assert!(e.message.ends_with("(line 2, byte 5)"), "U+{code:04X}: {e}");
+        }
+        // DEL is plain text.
+        assert_eq!(
+            Json::parse("\"\u{7f}\"").unwrap(),
+            Json::Str("\u{7f}".into())
+        );
     }
 
     #[test]

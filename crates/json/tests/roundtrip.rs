@@ -58,8 +58,28 @@ fn arb_json(depth: u32) -> BoxedStrategy<Json> {
     .boxed()
 }
 
+/// Any Unicode scalar value: ASCII, the BMP and the full range each a
+/// third of the time (surrogate code points map to U+FFFD), so runs of
+/// plain text mix 1- to 4-byte encodings with escaped characters.
+fn arb_unicode_string() -> impl Strategy<Value = String> {
+    let scalar = prop_oneof![0u32..0x80, 0u32..0x1_0000, 0u32..0x11_0000]
+        .prop_map(|code| char::from_u32(code).unwrap_or('\u{fffd}'));
+    proptest::collection::vec(scalar, 0..40).prop_map(|chars| chars.into_iter().collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary Unicode survives both printers as a value and as an
+    /// object key.
+    #[test]
+    fn unicode_strings_round_trip(value in arb_unicode_string(), key in arb_unicode_string()) {
+        let keyed = Json::Obj(vec![(key, Json::Str(value.clone()))]);
+        for v in [Json::Str(value), keyed] {
+            prop_assert_eq!(Json::parse(&v.compact()).unwrap(), v.clone());
+            prop_assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
+        }
+    }
 
     /// `parse(compact(v)) == v` for arbitrary nested values.
     #[test]
@@ -107,17 +127,30 @@ fn all_control_characters_round_trip() {
     }
 }
 
-/// Explicit `\uXXXX` escapes in the input — including surrogate pairs —
-/// parse to the right scalar values and survive re-rendering.
+/// Explicit `\uXXXX` escapes in the input — including surrogate pairs
+/// and lone surrogates — and escapes next to multibyte text parse to the
+/// right scalar values and survive re-rendering.
 #[test]
 fn unicode_escape_forms_parse_and_round_trip() {
     let cases = [
+        (r#""""#, ""),
         (r#""\u0000""#, "\u{0}"),
         (r#""\u001F""#, "\u{1f}"),
         (r#""\u0041""#, "A"),
         (r#""\u00e9""#, "\u{e9}"),
         (r#""\u2713""#, "\u{2713}"),
         (r#""\uD834\uDD1E""#, "\u{1d11e}"), // surrogate pair
+        (r#""a\ud83d\ude00b""#, "a\u{1f600}b"),
+        // Lone surrogates, high or low, and a high one followed by a
+        // non-surrogate escape each decode to U+FFFD.
+        (r#""\uD800""#, "\u{fffd}"),
+        (r#""x\uDC00y""#, "x\u{fffd}y"),
+        (r#""\uD800\u0041""#, "\u{fffd}A"),
+        // Multibyte runs directly before and after escapes.
+        (r#""é\nЖ""#, "é\nЖ"),
+        (r#""\t✓𝄞\\""#, "\t✓𝄞\\"),
+        (r#""𝄞\"𝄞\/""#, "𝄞\"𝄞/"),
+        (r#""Ж\u00e9Ж""#, "ЖéЖ"),
     ];
     for (input, expected) in cases {
         let v = Json::parse(input).unwrap_or_else(|e| panic!("{input}: {e}"));
