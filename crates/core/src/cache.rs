@@ -28,6 +28,12 @@
 //!    pays off on *novel* candidates, because a candidate changes only
 //!    a few jobs' allocations while every job's column is needed.
 //!
+//! Besides the memos, the cache holds one piece of per-problem state:
+//! the water-filler's prelude (`load::Prelude`) — each live
+//! application's speed bounds and as-placed batch snapshot, and the
+//! dense node CPU capacities — built on first use and shared by every
+//! candidate (and every threaded scoring worker) of the problem.
+//!
 //! Every memo stores the exact `f64`s the from-scratch computation
 //! produced, so a cached score is bit-identical to an oracle
 //! recomputation — the differential suite in
@@ -37,7 +43,7 @@
 //! A cache is only valid for the problem it was populated against;
 //! [`crate::optimizer::place`] builds a fresh one per call.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -48,6 +54,8 @@ use dynaplace_model::placement::Placement;
 use dynaplace_rpf::value::Rp;
 
 use crate::evaluate::PlacementScore;
+use crate::load::Prelude;
+use crate::problem::PlacementProblem;
 
 /// A tiny multiplicative hasher for the memo keys. The keys are short
 /// sequences of machine words with well-mixed low bits (ids and `f64`
@@ -122,6 +130,7 @@ pub struct CacheStats {
 /// coordinating thread and lets workers compute misses from scratch.
 #[derive(Debug, Default)]
 pub struct ScoreCache {
+    prelude: OnceCell<Prelude>,
     scores: RefCell<MemoMap<PlacementKey, Option<Arc<PlacementScore>>>>,
     demands: RefCell<MemoMap<(u32, u64), f64>>,
     batch_evals: RefCell<MemoMap<BatchKey, Vec<(AppId, Rp)>>>,
@@ -140,6 +149,11 @@ impl ScoreCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The water-filler's per-problem [`Prelude`], built on first use.
+    pub(crate) fn prelude(&self, problem: &PlacementProblem<'_>) -> &Prelude {
+        self.prelude.get_or_init(|| Prelude::new(problem))
     }
 
     /// The canonical key of `placement`.

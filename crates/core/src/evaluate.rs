@@ -13,7 +13,7 @@ use dynaplace_rpf::satisfaction::SatisfactionVector;
 use dynaplace_rpf::value::Rp;
 
 use crate::cache::ScoreCache;
-use crate::load::distribute_with;
+use crate::load::{distribute_with, Prelude};
 use crate::problem::{PlacementProblem, WorkloadModel};
 
 /// A fully scored candidate placement.
@@ -45,7 +45,18 @@ pub fn score_placement(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
 ) -> Option<PlacementScore> {
-    score_placement_impl(problem, placement, None)
+    score_placement_with(problem, placement, &Prelude::new(problem))
+}
+
+/// [`score_placement`] against an already-built [`Prelude`] of `problem`
+/// (the prelude is a pure function of the problem, so this is the same
+/// oracle, minus rebuilding it per candidate).
+pub(crate) fn score_placement_with(
+    problem: &PlacementProblem<'_>,
+    placement: &Placement,
+    prelude: &Prelude,
+) -> Option<PlacementScore> {
+    score_placement_impl(problem, placement, prelude, None)
 }
 
 /// [`score_placement`] through a per-problem [`ScoreCache`]: identical
@@ -66,7 +77,8 @@ pub fn score_placement_cached(
     if let Some(score) = cache.lookup_score(&key) {
         return score;
     }
-    let score = score_placement_impl(problem, placement, Some(cache)).map(std::sync::Arc::new);
+    let score = score_placement_impl(problem, placement, cache.prelude(problem), Some(cache))
+        .map(std::sync::Arc::new);
     cache.insert_score(key, score.clone());
     score
 }
@@ -74,9 +86,10 @@ pub fn score_placement_cached(
 fn score_placement_impl(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
+    prelude: &Prelude,
     cache: Option<&ScoreCache>,
 ) -> Option<PlacementScore> {
-    let load = distribute_with(problem, placement, cache)?;
+    let load = distribute_with(problem, placement, prelude, cache)?;
 
     // All per-app totals in one walk over the (app-sorted) distribution:
     // cells of one app are summed in the same ascending-node order

@@ -19,6 +19,7 @@
 //! Routability is checked with a max-flow when applications span several
 //! nodes, and with plain per-node sums otherwise.
 
+use dynaplace_batch::hypothetical::JobSnapshot;
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::load::LoadDistribution;
 use dynaplace_model::placement::Placement;
@@ -38,27 +39,96 @@ const U_TOL: f64 = 1e-5;
 /// Probe step when testing whether an application can individually rise.
 const PROBE_DU: f64 = 1e-3;
 
+/// What every candidate of one problem shares: each live application's
+/// speed bounds and as-placed batch snapshot, and the dense node CPU
+/// capacities. None of it depends on the candidate placement, so it is
+/// built once per problem — [`ScoreCache`] holds it for the cached path
+/// and threaded scoring workers borrow that same copy — while the
+/// uncached oracle [`distribute`] builds its own.
+#[derive(Debug)]
+pub(crate) struct Prelude {
+    /// One entry per live application, in `workloads` (ascending
+    /// `AppId`) order.
+    apps: Vec<AppPrelude>,
+    /// Per-node CPU capacities in MHz, indexed by `NodeId` (ids are
+    /// dense): cloning the residual vector per routability probe is a
+    /// memcpy, not a tree walk.
+    capacities: Vec<f64>,
+}
+
+#[derive(Debug)]
+struct AppPrelude {
+    /// Minimum per-instance speed, MHz.
+    min: f64,
+    /// Maximum per-instance speed, MHz.
+    max: f64,
+    /// For batch jobs: the snapshot *as placed* — a job placed by a
+    /// candidate starts progressing immediately, so its demand curve must
+    /// not carry the queued-state start delay.
+    placed_snapshot: Option<JobSnapshot>,
+}
+
+impl Prelude {
+    pub(crate) fn new(problem: &PlacementProblem<'_>) -> Self {
+        let apps = problem
+            .workloads
+            .iter()
+            .map(|(&app, model)| {
+                // Same bounds `effective_speed_bounds` computes, from the
+                // model reference already in hand.
+                let (min, max) = match model {
+                    WorkloadModel::Batch(snap) => (snap.min_speed(), snap.max_speed()),
+                    WorkloadModel::Transactional(_) => {
+                        let spec = problem.apps.get(app).expect("live app is registered");
+                        (CpuSpeed::ZERO, spec.max_instance_speed())
+                    }
+                };
+                AppPrelude {
+                    min: min.as_mhz(),
+                    max: max.as_mhz(),
+                    placed_snapshot: model
+                        .as_batch()
+                        .map(|snap| snap.advanced(Work::ZERO, SimDuration::ZERO)),
+                }
+            })
+            .collect();
+        let capacities = problem
+            .cluster
+            .iter()
+            .map(|(_, spec)| spec.cpu_capacity().as_mhz())
+            .collect();
+        Self { apps, capacities }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PlacedApp<'a> {
     app: AppId,
     /// The app's workload model, borrowed once at construction so the
     /// per-demand hot paths skip the `workloads` map lookup.
     model: &'a WorkloadModel,
-    /// Per-node routing capacity: `count × max_instance_speed`.
-    cells: Vec<(NodeId, f64)>,
+    /// Per-node routing capacity: `count × max_instance_speed`, a slice
+    /// of the candidate's one flat cell buffer.
+    cells: &'a [(NodeId, f64)],
+    /// Offset of `cells` in that buffer, and so of this app's entries in
+    /// the allocation buffer aligned with it.
+    start: usize,
     /// Σ of `cells` capacities.
     cap_total: f64,
     /// Floor the app must receive while placed (`count × min_speed`).
     min_total: f64,
     /// Final allocation once the app stops floating.
     fixed: Option<f64>,
-    /// For batch jobs: the snapshot *as placed* — a job placed by this
-    /// candidate starts progressing immediately, so its demand curve must
-    /// not carry the queued-state start delay.
-    placed_snapshot: Option<dynaplace_batch::hypothetical::JobSnapshot>,
+    /// For batch jobs: the as-placed snapshot, borrowed from the prelude.
+    placed_snapshot: Option<&'a JobSnapshot>,
 }
 
 impl PlacedApp<'_> {
+    /// This app's entries in the allocation buffer.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.cells.len()
+    }
+
     fn single_node(&self) -> Option<NodeId> {
         if self.cells.len() == 1 {
             Some(self.cells[0].0)
@@ -78,34 +148,29 @@ pub fn distribute(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
 ) -> Option<LoadDistribution> {
-    distribute_with(problem, placement, None)
+    distribute_with(problem, placement, &Prelude::new(problem), None)
 }
 
-/// [`distribute`] with an optional raw-demand memo. Passing a cache
-/// changes nothing about the result — the memo stores the exact values
-/// the direct computation produces (see [`crate::cache`]); `distribute`
-/// itself stays the from-scratch oracle.
+/// [`distribute`] with the problem's [`Prelude`] and an optional
+/// raw-demand memo. Passing a cache changes nothing about the result —
+/// the memo stores the exact values the direct computation produces (see
+/// [`crate::cache`]); `distribute` itself stays the from-scratch oracle.
 pub(crate) fn distribute_with(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
+    prelude: &Prelude,
     cache: Option<&ScoreCache>,
 ) -> Option<LoadDistribution> {
+    let capacities = &prelude.capacities[..];
+    // Every placed app's routing cells, back to back in one buffer.
+    let mut cells: Vec<(NodeId, f64)> = Vec::with_capacity(placement.len());
     let mut apps: Vec<PlacedApp<'_>> = Vec::new();
     // Both `workloads` and the placement's cells iterate in ascending
     // `AppId` order (cells additionally node-ascending within an app —
     // the order `instances_of` yields), so one merge-join pass replaces a
     // per-application range query.
     let mut cell_iter = placement.iter().peekable();
-    for (&app, model) in problem.workloads.iter() {
-        // Same bounds `effective_speed_bounds` computes, from the model
-        // reference already in hand.
-        let (min, max) = match model {
-            WorkloadModel::Batch(snap) => (snap.min_speed(), snap.max_speed()),
-            WorkloadModel::Transactional(_) => {
-                let spec = problem.apps.get(app).expect("live app is registered");
-                (CpuSpeed::ZERO, spec.max_instance_speed())
-            }
-        };
+    for ((&app, model), pre) in problem.workloads.iter().zip(&prelude.apps) {
         // An instance can never consume more than its node's capacity, so
         // per-node routing cells are capped by the node CPU: this keeps
         // demand clamps finite for applications with unbounded instance
@@ -113,47 +178,38 @@ pub(crate) fn distribute_with(
         while cell_iter.peek().is_some_and(|&(a, _, _)| a < app) {
             cell_iter.next();
         }
+        let start = cells.len();
         let mut counted: u32 = 0;
-        let mut cells: Vec<(NodeId, f64)> = Vec::new();
         while let Some(&(a, node, count)) = cell_iter.peek() {
             if a != app {
                 break;
             }
             cell_iter.next();
-            let node_cap = problem
-                .cluster
-                .node(node)
-                .expect("placed on a known node")
-                .cpu_capacity()
-                .as_mhz();
             counted += count;
-            cells.push((node, (max.as_mhz() * f64::from(count)).min(node_cap)));
+            cells.push((
+                node,
+                (pre.max * f64::from(count)).min(capacities[node.index()]),
+            ));
         }
-        if cells.is_empty() {
+        if cells.len() == start {
             continue;
         }
-        let cap_total = cells.iter().map(|(_, c)| c).sum();
-        let placed_snapshot = model
-            .as_batch()
-            .map(|snap| snap.advanced(Work::ZERO, SimDuration::ZERO));
         apps.push(PlacedApp {
             app,
             model,
-            cells,
-            cap_total,
-            min_total: min.as_mhz() * f64::from(counted),
+            cells: &[],
+            start,
+            cap_total: cells[start..].iter().map(|(_, c)| c).sum(),
+            min_total: pre.min * f64::from(counted),
             fixed: None,
-            placed_snapshot,
+            placed_snapshot: pre.placed_snapshot.as_ref(),
         });
     }
-
-    // Dense per-node capacities (NodeIds are dense indices): cloning the
-    // residual vector per routability probe is a memcpy, not a tree walk.
-    let capacities: Vec<f64> = problem
-        .cluster
-        .iter()
-        .map(|(_, spec)| spec.cpu_capacity().as_mhz())
-        .collect();
+    // The buffer is complete: hand each app its slice of it.
+    for i in 0..apps.len() {
+        let end = apps.get(i + 1).map_or(cells.len(), |next| next.start);
+        apps[i].cells = &cells[apps[i].start..end];
+    }
 
     let demand_at = |pa: &PlacedApp<'_>, u: f64| -> f64 {
         // The raw demand depends only on the workload model, `now`, and
@@ -183,7 +239,7 @@ pub(crate) fn distribute_with(
         // midpoint sequence — and every healthy run's bits — are
         // unchanged).
         let healthy = bisect_max(RP_FLOOR, 1.0, U_TOL, |u| {
-            routable(&apps, &effective(&apps, u), &capacities)
+            routable(&apps, &effective(&apps, u), capacities)
         });
         let result = match healthy {
             Some(r) => r,
@@ -199,14 +255,13 @@ pub(crate) fn distribute_with(
                     pa.fixed.is_none()
                         && pa
                             .placed_snapshot
-                            .as_ref()
                             .is_some_and(|s| s.u_max(problem.now).is_sub_floor())
                 });
                 if !hopeless_floating {
                     return None;
                 }
                 bisect_max(RP_MIN, RP_FLOOR, U_TOL, |u| {
-                    routable(&apps, &effective(&apps, u), &capacities)
+                    routable(&apps, &effective(&apps, u), capacities)
                 })?
             }
         };
@@ -239,7 +294,7 @@ pub(crate) fn distribute_with(
             let saturated = probe <= base[i] + FEAS_EPS;
             let blocked = saturated || {
                 probed[i] = probe;
-                let fits = routable(&apps, &probed, &capacities);
+                let fits = routable(&apps, &probed, capacities);
                 probed[i] = base[i];
                 !fits
             };
@@ -262,9 +317,22 @@ pub(crate) fn distribute_with(
         }
     }
 
-    let mut load = extract_distribution(&apps, &capacities)?;
-    residual_fill(problem, &apps, &capacities, &mut load, cache);
-    Some(load)
+    // Per-cell allocations, aligned with `cells`; an absent cell is 0.
+    let mut alloc = vec![0.0; cells.len()];
+    if !extract_allocations(&apps, capacities, &mut alloc) {
+        return None;
+    }
+    residual_fill(problem, &apps, capacities, &mut alloc, cache);
+    Some(
+        apps.iter()
+            .flat_map(|pa| {
+                pa.cells
+                    .iter()
+                    .zip(&alloc[pa.span()])
+                    .map(|(&(node, _), &mhz)| (pa.app, node, CpuSpeed::from_mhz(mhz)))
+            })
+            .collect(),
+    )
 }
 
 /// Raw (unclamped) workload demand of `pa` at performance level `u`.
@@ -277,7 +345,7 @@ pub(crate) fn distribute_with(
 /// starvation livelock; the sub-floor band made that shim redundant and
 /// it was removed.)
 fn raw_demand(problem: &PlacementProblem<'_>, pa: &PlacedApp<'_>, u: f64) -> f64 {
-    match (pa.model, &pa.placed_snapshot) {
+    match (pa.model, pa.placed_snapshot) {
         (_, Some(snap)) => snap.demand_for(problem.now, Rp::new(u)).as_mhz(),
         (WorkloadModel::Transactional(m), None) => m.demand(Rp::new(u)).as_mhz(),
         (WorkloadModel::Batch(snap), None) => snap.demand_for(problem.now, Rp::new(u)).as_mhz(),
@@ -290,19 +358,26 @@ fn raw_demand(problem: &PlacementProblem<'_>, pa: &PlacedApp<'_>, u: f64) -> f64
 /// performance cannot improve this cycle, so the water-filler gives it
 /// nothing — still consume the capacity nobody else wants: best-effort
 /// service instead of idle CPUs.
+///
+/// `alloc` is aligned with the apps' cells, in the ascending (app, node)
+/// order a [`LoadDistribution`] iterates in; absent cells hold 0, and
+/// adding or subtracting 0 is exact, so every sum below is the one the
+/// sparse distribution would give.
 fn residual_fill(
     problem: &PlacementProblem<'_>,
     apps: &[PlacedApp<'_>],
     capacities: &[f64],
-    load: &mut dynaplace_model::load::LoadDistribution,
+    alloc: &mut [f64],
     cache: Option<&ScoreCache>,
 ) {
     let mut residual: Vec<f64> = capacities.to_vec();
-    for (_, node, speed) in load.iter() {
-        residual[node.index()] -= speed.as_mhz();
+    for pa in apps {
+        for (&(node, _), &mhz) in pa.cells.iter().zip(&alloc[pa.span()]) {
+            residual[node.index()] -= mhz;
+        }
     }
     for pa in apps {
-        let raw_appetite = || match (pa.model, &pa.placed_snapshot) {
+        let raw_appetite = || match (pa.model, pa.placed_snapshot) {
             (WorkloadModel::Transactional(m), _) => m.max_useful_demand().as_mhz(),
             (_, Some(snap)) => snap.demand_for(problem.now, Rp::MAX).as_mhz(),
             (WorkloadModel::Batch(snap), None) => snap.demand_for(problem.now, Rp::MAX).as_mhz(),
@@ -315,19 +390,19 @@ fn residual_fill(
             _ => raw_appetite(),
         }
         .min(pa.cap_total);
-        let mut appetite = appetite_total - load.app_total(pa.app).as_mhz();
+        let allocs = &mut alloc[pa.span()];
+        let mut appetite = appetite_total - allocs.iter().sum::<f64>();
         if appetite <= FEAS_EPS {
             continue;
         }
-        for &(node, cell_cap) in &pa.cells {
+        for (&(node, cell_cap), current) in pa.cells.iter().zip(allocs) {
             if appetite <= FEAS_EPS {
                 break;
             }
             let r = &mut residual[node.index()];
-            let current = load.get(pa.app, node).as_mhz();
-            let take = appetite.min(cell_cap - current).min((*r).max(0.0));
+            let take = appetite.min(cell_cap - *current).min((*r).max(0.0));
             if take > FEAS_EPS {
-                load.set(pa.app, node, CpuSpeed::from_mhz(current + take));
+                *current += take;
                 *r -= take;
                 appetite -= take;
             }
@@ -367,7 +442,7 @@ fn route_multi(multi: &[(&PlacedApp<'_>, f64)], residual: &mut [f64]) -> bool {
         // Greedy suffices for a single multi-node application.
         let (pa, demand) = multi[0];
         let mut need = demand;
-        for &(node, cap) in &pa.cells {
+        for &(node, cap) in pa.cells {
             let r = &mut residual[node.index()];
             let take = need.min(cap).min((*r).max(0.0));
             *r -= take;
@@ -387,7 +462,7 @@ fn route_multi(multi: &[(&PlacedApp<'_>, f64)], residual: &mut [f64]) -> bool {
     for (i, (pa, demand)) in multi.iter().enumerate() {
         net.add_edge(s, 1 + i, *demand);
         total_demand += demand;
-        for &(node, cap) in &pa.cells {
+        for &(node, cap) in pa.cells {
             net.add_edge(1 + i, 1 + multi.len() + node.index(), cap);
         }
     }
@@ -397,10 +472,11 @@ fn route_multi(multi: &[(&PlacedApp<'_>, f64)], residual: &mut [f64]) -> bool {
     net.max_flow(s, t) >= total_demand - FEAS_EPS * (1.0 + multi.len() as f64)
 }
 
-/// Turns final per-app allocations into a per-cell [`LoadDistribution`].
-fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<LoadDistribution> {
+/// Routes the final per-app allocations onto cells, writing each into
+/// `alloc` at the cell's offset (entries start at 0). Returns `false`
+/// when they no longer fit, which the feasible demands rule out.
+fn extract_allocations(apps: &[PlacedApp<'_>], capacities: &[f64], alloc: &mut [f64]) -> bool {
     let mut residual: Vec<f64> = capacities.to_vec();
-    let mut load = LoadDistribution::new();
 
     // Single-node apps first (their placement is forced).
     let mut multi: Vec<(&PlacedApp<'_>, f64)> = Vec::new();
@@ -414,9 +490,9 @@ fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<Lo
                 let r = &mut residual[node.index()];
                 *r -= total;
                 if *r < -1e-3 {
-                    return None; // should not happen: demands were feasible
+                    return false; // should not happen: demands were feasible
                 }
-                load.set(pa.app, node, CpuSpeed::from_mhz(total));
+                alloc[pa.start] = total;
             }
             None => multi.push((pa, total)),
         }
@@ -427,20 +503,20 @@ fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<Lo
         1 => {
             let (pa, demand) = multi[0];
             let mut need = demand;
-            for &(node, cap) in &pa.cells {
+            for (i, &(node, cap)) in pa.cells.iter().enumerate() {
                 let r = &mut residual[node.index()];
                 let take = need.min(cap).min((*r).max(0.0));
                 if take > 0.0 {
                     *r -= take;
                     need -= take;
-                    load.set(pa.app, node, CpuSpeed::from_mhz(take));
+                    alloc[pa.start + i] = take;
                 }
                 if need <= FEAS_EPS {
                     break;
                 }
             }
             if need > 1e-3 {
-                return None;
+                return false;
             }
         }
         _ => {
@@ -453,9 +529,9 @@ fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<Lo
             for (i, (pa, demand)) in multi.iter().enumerate() {
                 net.add_edge(s, 1 + i, *demand);
                 total_demand += demand;
-                for &(node, cap) in &pa.cells {
+                for (c, &(node, cap)) in pa.cells.iter().enumerate() {
                     let h = net.add_edge(1 + i, 1 + multi.len() + node.index(), cap);
-                    handles.push((pa.app, node, h));
+                    handles.push((pa.start + c, h));
                 }
             }
             for (j, r) in residual.iter().enumerate() {
@@ -463,17 +539,17 @@ fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<Lo
             }
             let flow = net.max_flow(s, t);
             if flow < total_demand - 1e-3 {
-                return None;
+                return false;
             }
-            for (app, node, h) in handles {
+            for (slot, h) in handles {
                 let f = net.flow_on(h);
                 if f > FEAS_EPS {
-                    load.set(app, node, CpuSpeed::from_mhz(f));
+                    alloc[slot] = f;
                 }
             }
         }
     }
-    Some(load)
+    true
 }
 
 #[cfg(test)]
@@ -954,5 +1030,185 @@ mod tests {
         }
         load.validate(&world.placement, &world.cluster, &world.apps)
             .unwrap();
+    }
+
+    // Expected `(app, node, mhz.to_bits())` cells of the three pinned
+    // distributions below, recorded from the `BTreeMap`-based
+    // water-filler that preceded the flat buffers.
+    const PINNED_GREEDY: &[(u32, u32, u64)] = &[
+        (0, 0, 4641240890982006784), // 200
+        (0, 1, 4649368480934526976), // 700
+        (0, 2, 4647961106050973696), // 540
+        (1, 0, 4650248090236747776), // 800
+        (2, 2, 4648488871632306176), // 600
+    ];
+    const PINNED_MAX_FLOW: &[(u32, u32, u64)] = &[
+        (0, 0, 4652007308841189376), // 1000
+        (0, 1, 4638186003374365344), // 120.58743603653647
+        (1, 1, 4649006302929594712), // 658.825127926927
+        (1, 2, 4649368480934526976), // 700
+        (2, 1, 4646106668614309545), // 420.58743603653653
+    ];
+    const PINNED_RESIDUAL: &[(u32, u32, u64)] = &[
+        (0, 0, 4648488871632306176), // 600
+        (0, 1, 4652007308841189376), // 1000
+        (1, 0, 4645744490609377280), // 400
+    ];
+
+    /// The distribution's cells as `(app, node, mhz.to_bits())`.
+    fn cell_bits(load: &LoadDistribution) -> Vec<(u32, u32, u64)> {
+        load.iter()
+            .map(|(app, node, speed)| {
+                (
+                    app.index() as u32,
+                    node.index() as u32,
+                    speed.as_mhz().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    fn txn_model(rate: f64, demand_mcycles: f64) -> WorkloadModel {
+        WorkloadModel::Transactional(TxnPerformanceModel::new(
+            TxnWorkload::new(rate, demand_mcycles, SimDuration::from_secs(0.0125)),
+            ResponseTimeGoal::new(SimDuration::from_secs(0.05)),
+        ))
+    }
+
+    fn nodes(cluster: &mut Cluster, cpus: &[f64]) -> Vec<NodeId> {
+        cpus.iter()
+            .map(|&cpu| {
+                cluster.add_node(
+                    NodeSpec::try_new(mhz(cpu), Memory::from_mb(4_000.0))
+                        .expect("valid node capacities"),
+                )
+            })
+            .collect()
+    }
+
+    /// Pins the greedy path (exactly one multi-node application) bit for
+    /// bit: a web tier over three uneven nodes beside two batch jobs. Its
+    /// 1,440 MHz saturation fits in the 1,600 MHz the jobs leave, so the
+    /// node-ascending fill order shows in the split.
+    #[test]
+    fn pinned_bits_one_multi_node_txn_greedy() {
+        let mut cluster = Cluster::new();
+        let n = nodes(&mut cluster, &[1_000.0, 700.0, 1_300.0]);
+        let mut apps = AppSet::new();
+        let web = apps.add(ApplicationSpec::transactional(
+            Memory::from_mb(500.0),
+            mhz(900.0),
+            3,
+        ));
+        let j0 = apps.add(ApplicationSpec::batch(Memory::from_mb(750.0), mhz(800.0)));
+        let j1 = apps.add(ApplicationSpec::batch(Memory::from_mb(750.0), mhz(600.0)));
+        let mut placement = Placement::new();
+        for &node in &n {
+            placement.place(web, node);
+        }
+        placement.place(j0, n[0]);
+        placement.place(j1, n[2]);
+        let mut workloads = BTreeMap::new();
+        workloads.insert(web, txn_model(40.0, 12.0));
+        workloads.insert(
+            j0,
+            WorkloadModel::Batch(batch_snapshot(j0, 9_000.0, 800.0, 25.0)),
+        );
+        workloads.insert(
+            j1,
+            WorkloadModel::Batch(batch_snapshot(j1, 5_000.0, 600.0, 18.0)),
+        );
+        let world = World {
+            cluster,
+            apps,
+            workloads,
+            placement,
+        };
+        let load = distribute(&world.problem(), &world.placement).unwrap();
+        load.validate(&world.placement, &world.cluster, &world.apps)
+            .unwrap();
+        assert_eq!(cell_bits(&load), PINNED_GREEDY);
+    }
+
+    /// Pins the max-flow path (two multi-node applications sharing a
+    /// node) bit for bit, with a batch job on the shared node.
+    #[test]
+    fn pinned_bits_two_multi_node_txn_max_flow() {
+        let mut cluster = Cluster::new();
+        let n = nodes(&mut cluster, &[1_000.0, 1_200.0, 900.0]);
+        let mut apps = AppSet::new();
+        let web1 = apps.add(ApplicationSpec::transactional(
+            Memory::from_mb(100.0),
+            mhz(1_000.0),
+            3,
+        ));
+        let web2 = apps.add(ApplicationSpec::transactional(
+            Memory::from_mb(100.0),
+            mhz(700.0),
+            3,
+        ));
+        let job = apps.add(ApplicationSpec::batch(Memory::from_mb(750.0), mhz(500.0)));
+        let mut placement = Placement::new();
+        placement.place(web1, n[0]);
+        placement.place(web1, n[1]);
+        placement.place(web2, n[1]);
+        placement.place(web2, n[2]);
+        placement.place(job, n[1]);
+        let mut workloads = BTreeMap::new();
+        workloads.insert(web1, txn_model(70.0, 10.0));
+        workloads.insert(web2, txn_model(55.0, 14.0));
+        workloads.insert(
+            job,
+            WorkloadModel::Batch(batch_snapshot(job, 6_000.0, 500.0, 30.0)),
+        );
+        let world = World {
+            cluster,
+            apps,
+            workloads,
+            placement,
+        };
+        let load = distribute(&world.problem(), &world.placement).unwrap();
+        load.validate(&world.placement, &world.cluster, &world.apps)
+            .unwrap();
+        assert_eq!(cell_bits(&load), PINNED_MAX_FLOW);
+    }
+
+    /// Pins residual fill: an overloaded web tier (λd = 3,000 MHz against
+    /// 2,000 MHz of nodes) cannot rise above the RP floor, so the
+    /// water-filler fixes it at nothing and it absorbs only the capacity
+    /// the capped batch job leaves behind.
+    #[test]
+    fn pinned_bits_floor_txn_takes_residual() {
+        let mut cluster = Cluster::new();
+        let n = nodes(&mut cluster, &[1_000.0, 1_000.0]);
+        let mut apps = AppSet::new();
+        let web = apps.add(ApplicationSpec::transactional(
+            Memory::from_mb(500.0),
+            mhz(f64::INFINITY),
+            2,
+        ));
+        let job = apps.add(ApplicationSpec::batch(Memory::from_mb(750.0), mhz(400.0)));
+        let mut placement = Placement::new();
+        placement.place(web, n[0]);
+        placement.place(web, n[1]);
+        placement.place(job, n[0]);
+        let mut workloads = BTreeMap::new();
+        workloads.insert(web, txn_model(300.0, 10.0));
+        workloads.insert(
+            job,
+            WorkloadModel::Batch(batch_snapshot(job, 8_000.0, 400.0, 40.0)),
+        );
+        let world = World {
+            cluster,
+            apps,
+            workloads,
+            placement,
+        };
+        let load = distribute(&world.problem(), &world.placement).unwrap();
+        load.validate(&world.placement, &world.cluster, &world.apps)
+            .unwrap();
+        // The web tier soaks up everything the job leaves.
+        assert!((load.app_total(web) + load.app_total(job)).approx_eq(mhz(2_000.0), 1e-6));
+        assert_eq!(cell_bits(&load), PINNED_RESIDUAL);
     }
 }

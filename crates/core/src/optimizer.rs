@@ -32,7 +32,9 @@ use dynaplace_rpf::value::Rp;
 use dynaplace_trace::{CacheCounters, NoopSink, OptimizeMode, TraceEvent, TraceLevel, TraceSink};
 
 use crate::cache::ScoreCache;
-use crate::evaluate::{score_placement, score_placement_cached, PlacementScore};
+use crate::evaluate::{
+    score_placement, score_placement_cached, score_placement_with, PlacementScore,
+};
 use crate::problem::PlacementProblem;
 use crate::shard::ShardingPolicy;
 
@@ -333,8 +335,9 @@ fn score_one(
 /// scoring one candidate at a time, whatever the thread count. Under
 /// incremental scoring, hits are resolved here on the calling thread
 /// (the cache is single-threaded by design); workers only compute
-/// misses, from scratch, which yields the same values the cached path
-/// would (the memos are exact).
+/// misses, from scratch against the cache's shared per-problem
+/// [`crate::load::Prelude`], which yields the same values the cached
+/// path would (the memos are exact).
 fn score_candidates(
     problem: &PlacementProblem<'_>,
     config: &ApcConfig,
@@ -364,6 +367,7 @@ fn score_candidates(
         }
     }
 
+    let prelude = cache.prelude(problem);
     let scored: std::sync::Mutex<Vec<(usize, Option<Arc<PlacementScore>>)>> =
         std::sync::Mutex::new(Vec::with_capacity(misses.len()));
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -375,7 +379,8 @@ fn score_candidates(
                     break;
                 }
                 let index = misses[i];
-                let score = score_placement(problem, &candidates[index]).map(Arc::new);
+                let score =
+                    score_placement_with(problem, &candidates[index], prelude).map(Arc::new);
                 scored.lock().expect("scoring lock").push((index, score));
             });
         }
@@ -697,21 +702,38 @@ pub(crate) fn optimize_scoped(
 
             // Intermediate loop: build every candidate for this node
             // first (k instances removed, then greedily refilled), …
+            //
+            // A candidate changes this one node only, and the refill
+            // never restarts a removed app, so it can form no migration:
+            // its disruptive actions are exactly its `k` stops, and it
+            // equals `current` exactly when it neither stopped nor
+            // started anything.
             let mut candidates: Vec<Placement> = Vec::with_capacity(max_removals + 1);
+            let mut disruption_counts: Vec<usize> = Vec::with_capacity(max_removals + 1);
             for k in 0..=max_removals {
                 let mut candidate = current.clone();
-                let mut removed: Vec<AppId> = Vec::with_capacity(k);
-                for &app in &residents[..k] {
+                let removed = &residents[..k];
+                for &app in removed {
                     candidate
                         .remove(app, node)
                         .expect("resident instance exists");
-                    removed.push(app);
                 }
-                fill_node(problem, &mut candidate, node, &removed, &fill_order, config);
-                if candidate == current {
+                let starts = fill_node(problem, &mut candidate, node, removed, &fill_order, config);
+                debug_assert_eq!(
+                    k,
+                    current
+                        .diff(&candidate)
+                        .iter()
+                        .filter(|a| !matches!(a, PlacementAction::Start { .. }))
+                        .count(),
+                    "a one-node candidate's disruptions are its removals"
+                );
+                debug_assert_eq!(k == 0 && starts == 0, candidate == current);
+                if k == 0 && starts == 0 {
                     continue;
                 }
                 candidates.push(candidate);
+                disruption_counts.push(k);
             }
             // … score them (concurrently when configured), then fold the
             // results serially in generation (k) order — the selection
@@ -721,16 +743,13 @@ pub(crate) fn optimize_scoped(
 
             // (candidate, score, disruptive action count)
             let mut node_best: Option<(Placement, Arc<PlacementScore>, usize)> = None;
-            for (candidate, score) in candidates.into_iter().zip(scores) {
+            for ((candidate, score), disruptions) in
+                candidates.into_iter().zip(scores).zip(disruption_counts)
+            {
                 let Some(score) = score else {
                     continue;
                 };
                 stats.evaluations += 1;
-                let diff = current.diff(&candidate);
-                let disruptions = diff
-                    .iter()
-                    .filter(|a| !matches!(a, PlacementAction::Start { .. }))
-                    .count();
                 let threshold = if disruptions == 0 {
                     config.start_threshold
                 } else {
@@ -1058,6 +1077,8 @@ fn removal_order(
 /// decision (including any floating-point boundary case) is identical.
 /// With a memory-only registry the dimension loop degenerates to the
 /// single scalar accumulation of the pre-vector optimizer, bit for bit.
+///
+/// Returns the number of instances started.
 fn fill_node(
     problem: &PlacementProblem<'_>,
     candidate: &mut Placement,
@@ -1065,9 +1086,9 @@ fn fill_node(
     removed: &[AppId],
     fill_order: &[AppId],
     config: &ApcConfig,
-) {
+) -> usize {
     let Ok(node_spec) = problem.cluster.node(node) else {
-        return;
+        return 0;
     };
     let node_rigid = node_spec.rigid_capacity();
     let dims = problem.cluster.dims().len().max(node_rigid.len());
@@ -1077,6 +1098,7 @@ fn fill_node(
     // Residents of `node`, ascending AppId (the order `apps_on` yields).
     let mut residents: Vec<(AppId, u32)> = candidate.apps_on(node).collect();
     let mut tried = 0;
+    let mut starts = 0;
     for &app in fill_order {
         if tried >= config.max_fill_candidates {
             break;
@@ -1121,9 +1143,11 @@ fn fill_node(
             continue;
         }
         candidate.place(app, node);
+        starts += 1;
         match residents.binary_search_by_key(&app, |&(a, _)| a) {
             Ok(i) => residents[i].1 += 1,
             Err(i) => residents.insert(i, (app, 1)),
         }
     }
+    starts
 }

@@ -22,7 +22,9 @@ use dynaplace_apc::optimizer::{fill_only, place, ApcConfig, PlacementOutcome, Sc
 use dynaplace_apc::{score_placement, score_placement_cached, ScoreCache};
 use dynaplace_model::ids::NodeId;
 use dynaplace_model::placement::Placement;
-use dynaplace_testutil::fixtures::{arb_problem, ProblemFixture, ProblemParams};
+use dynaplace_testutil::fixtures::{
+    arb_problem, arb_problem_sized, ProblemFixture, ProblemParams, TxnParams,
+};
 use dynaplace_testutil::PlacementInvariants;
 use proptest::prelude::*;
 
@@ -188,6 +190,60 @@ proptest! {
             let second = place(&problem, &cfg);
             assert_outcomes_identical(&first, &second, &format!("{:?}", cfg.scoring));
         }
+    }
+}
+
+/// Two web tiers' parameters for [`shared_multi_node_txns_match_oracle`].
+fn arb_txn_pair() -> impl Strategy<Value = Vec<TxnParams>> {
+    let txn = (1.0..100.0f64, 1.0..20.0f64, 50.0..600.0f64).prop_map(|(rate, demand, memory)| {
+        TxnParams {
+            rate,
+            demand,
+            memory,
+        }
+    });
+    proptest::collection::vec(txn, 2..3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `arb_problem` reaches the water-filler's single-multi-node
+    /// (greedy) path only through its one web tier's expansion, and its
+    /// max-flow path never. Two pre-placed web tiers sharing their nodes
+    /// force max-flow routing: cached scoring must still match the
+    /// oracle, and incremental and parallel search the from-scratch
+    /// search, bit for bit.
+    #[test]
+    fn shared_multi_node_txns_match_oracle(
+        params in arb_problem_sized(2..5, 0..5),
+        txns in arb_txn_pair(),
+    ) {
+        let mut fixture = ProblemFixture::build(&params);
+        fixture.add_spanning_txns(&txns);
+        let spanning = fixture
+            .workloads
+            .keys()
+            .filter(|&&app| fixture.current.instances_of(app).count() >= 2)
+            .count();
+        prop_assume!(spanning >= 2);
+        let problem = fixture.problem();
+        let cache = ScoreCache::new();
+        for (i, candidate) in perturbations(&fixture).iter().enumerate() {
+            let oracle = score_placement(&problem, candidate);
+            let cached = score_placement_cached(&problem, candidate, &cache);
+            match (&oracle, &cached) {
+                (None, None) => {}
+                (Some(a), Some(b)) => assert_scores_identical(a, b, &format!("candidate {i}")),
+                _ => panic!("candidate {i}: feasibility disagrees"),
+            }
+        }
+        let oracle = place(&problem, &config(ScoringMode::FromScratch, 1));
+        for (scoring, threads) in [(ScoringMode::Incremental, 1), (ScoringMode::Incremental, 3)] {
+            let outcome = place(&problem, &config(scoring, threads));
+            assert_outcomes_identical(&oracle, &outcome, &format!("{scoring:?}, {threads} threads"));
+        }
+        PlacementInvariants::assert_outcome(&problem, &oracle);
     }
 }
 

@@ -8,11 +8,12 @@ use serde::{Deserialize, Serialize};
 
 use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
 
+use dynaplace_batch::job::JobProfile;
 use dynaplace_model::cluster::Cluster;
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::node::NodeSpec;
 use dynaplace_model::resources::{ResourceDims, Resources};
-use dynaplace_model::units::{CpuSpeed, SimDuration, SimTime};
+use dynaplace_model::units::{CpuSpeed, Memory, SimDuration, SimTime, Work};
 
 use dynaplace_txn::workload::{ArrivalPattern, ConstantRate, SinusoidPattern, StepPattern};
 use rand::rngs::StdRng;
@@ -671,6 +672,20 @@ pub enum ScenarioError {
         /// The declared total node count.
         nodes: usize,
     },
+    /// A job goal so short that a deadline set that long after an
+    /// arrival rounds back onto the arrival instant itself (in `f64`
+    /// seconds) at some arrival up to `reach_secs`. Such goals used to
+    /// pass validation and panic mid-run when the engine built the
+    /// job's completion goal.
+    GoalTooShort {
+        /// Dotted path of the offending field, e.g.
+        /// `jobs[0].goal.relative_secs`.
+        field: String,
+        /// The field's value.
+        value: f64,
+        /// The latest arrival instant the check covers, seconds.
+        reach_secs: f64,
+    },
     /// The `workload` block is structurally invalid: an MMPP with no
     /// state that produces arrivals, or an unbounded stream in a
     /// scenario without `horizon_secs` (such a run would generate
@@ -752,6 +767,15 @@ impl std::fmt::Display for ScenarioError {
                     "scenario declares {nodes} nodes, more than the u32 node-id space can index"
                 )
             }
+            ScenarioError::GoalTooShort {
+                field,
+                value,
+                reach_secs,
+            } => write!(
+                f,
+                "{field} = {value:e} is too small: the deadline would round onto the arrival \
+                 instant for arrivals up to {reach_secs} s"
+            ),
             ScenarioError::InvalidWorkload { message } => {
                 write!(f, "invalid workload block: {message}")
             }
@@ -1146,6 +1170,7 @@ impl ScenarioSpec {
         if let Some(h) = self.horizon_secs {
             non_negative("horizon_secs", h)?;
         }
+        let reach = SimTime::from_secs(goal_reach_secs(self.horizon_secs));
         if let Some(d) = self.deadline_secs {
             // A NaN deadline used to panic inside Duration::from_secs_f64
             // mid-build.
@@ -1158,7 +1183,7 @@ impl ScenarioSpec {
         }
         for (i, group) in self.jobs.iter().enumerate() {
             let path = format!("jobs[{i}]");
-            validate_job_shape(&path, &group.shape, dims, is_apc)?;
+            validate_job_shape(&path, &group.shape, dims, is_apc, reach)?;
             match &group.arrivals {
                 ArrivalSpec::Exponential { mean_secs } => {
                     positive(
@@ -1192,7 +1217,7 @@ impl ScenarioSpec {
         if let Some(workload) = &self.workload {
             for (i, stream) in workload.batch_streams.iter().enumerate() {
                 let path = format!("workload.batch_streams[{i}]");
-                validate_job_shape(&path, &stream.shape, dims, is_apc)?;
+                validate_job_shape(&path, &stream.shape, dims, is_apc, reach)?;
             }
             for (i, stream) in workload.txn_streams.iter().enumerate() {
                 validate_txn_shape(&format!("workload.txn_streams[{i}]"), &stream.shape, dims)?;
@@ -1506,13 +1531,27 @@ fn validate_resources(
     Ok(())
 }
 
+/// The latest arrival instant job goals are checked against: the first
+/// power of two at or past both 2^32 s (about 136 years) and the
+/// horizon. A power of two has an even significand, so a goal that
+/// clears it (no tie rounds back onto it) clears every earlier arrival.
+fn goal_reach_secs(horizon: Option<f64>) -> f64 {
+    let mut reach = 4_294_967_296.0;
+    while reach < horizon.unwrap_or(0.0) {
+        reach *= 2.0;
+    }
+    reach
+}
+
 /// Checks the job shape of the list entry at `path` (`jobs[0]`,
 /// `workload.batch_streams[1]`, ...), the same way for either list.
+/// `reach` is the latest arrival instant the goal check covers.
 fn validate_job_shape(
     path: &str,
     shape: &JobShapeSpec,
     dims: &[String],
     is_apc: bool,
+    reach: SimTime,
 ) -> Result<(), ScenarioError> {
     // `tasks: 0` used to silently degrade to an ordinary job.
     if shape.tasks == 0 {
@@ -1531,9 +1570,33 @@ fn validate_job_shape(
     non_negative(&format!("{path}.memory_mb"), shape.memory_mb)?;
     // A deadline at the arrival instant (or before it) used to panic
     // mid-run when the engine built the job's completion goal.
-    match shape.goal {
-        GoalSubmission::Factor(f) => positive(&format!("{path}.goal.factor"), f)?,
-        GoalSubmission::RelativeSecs(s) => positive(&format!("{path}.goal.relative_secs"), s)?,
+    let (name, value, relative) = match shape.goal {
+        GoalSubmission::Factor(f) => {
+            positive(&format!("{path}.goal.factor"), f)?;
+            // The engine's own arithmetic: factor × the parallel best
+            // execution time.
+            let profile = JobProfile::single_stage(
+                Work::from_mcycles(shape.work_mcycles),
+                CpuSpeed::from_mhz(shape.max_speed_mhz),
+                Memory::from_mb(shape.memory_mb),
+            );
+            let best = profile.min_execution_time() / f64::from(shape.tasks);
+            ("factor", f, SimDuration::from_secs(best.as_secs() * f))
+        }
+        GoalSubmission::RelativeSecs(s) => {
+            positive(&format!("{path}.goal.relative_secs"), s)?;
+            ("relative_secs", s, SimDuration::from_secs(s))
+        }
+    };
+    // A positive goal can still be so small that `arrival + goal`
+    // rounds back onto the arrival; the later the arrival, the larger
+    // the gap must be, so checking at `reach` covers every earlier one.
+    if reach + relative <= reach {
+        return Err(ScenarioError::GoalTooShort {
+            field: format!("{path}.goal.{name}"),
+            value,
+            reach_secs: reach.as_secs(),
+        });
     }
     validate_resources(path, &shape.resources, dims)
 }
@@ -2607,6 +2670,45 @@ mod tests {
                 err.message
             );
         }
+
+        // A positive goal so small that `arrival + goal == arrival` in
+        // f64 used to pass validation and panic mid-run inside
+        // CompletionGoal::new; both goal kinds now fail at load time,
+        // naming the field.
+        for (goal, field) in [
+            (
+                GoalSubmission::RelativeSecs(1e-300),
+                "jobs[0].goal.relative_secs",
+            ),
+            (GoalSubmission::Factor(1e-300), "jobs[0].goal.factor"),
+        ] {
+            let mut spec = minimal("apc");
+            spec.jobs[0].shape.goal = goal;
+            assert!(
+                matches!(
+                    spec.validate(),
+                    Err(ScenarioError::GoalTooShort { field: ref f, value, .. })
+                        if f == field && value == 1e-300
+                ),
+                "{:?}",
+                spec.validate()
+            );
+            let err = ScenarioSpec::from_json_str(&spec.to_json_string()).unwrap_err();
+            assert!(
+                err.message
+                    .contains(&format!("{field} = 1e-300 is too small")),
+                "{}",
+                err.message
+            );
+        }
+        // Short but resolvable goals stay valid.
+        let mut spec = minimal("apc");
+        spec.jobs[0].shape.goal = GoalSubmission::RelativeSecs(1e-3);
+        assert_eq!(spec.validate(), Ok(()));
+        // The check reaches past 2^32 s when the horizon does.
+        assert_eq!(goal_reach_secs(None), 4_294_967_296.0);
+        assert_eq!(goal_reach_secs(Some(5e4)), 4_294_967_296.0);
+        assert_eq!(goal_reach_secs(Some(1e10)), 17_179_869_184.0);
 
         // Stream shapes report through the same variants and full paths.
         let mut spec = minimal("apc");

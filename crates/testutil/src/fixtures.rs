@@ -170,13 +170,7 @@ impl ProblemFixture {
                 CpuSpeed::from_mhz(f64::INFINITY),
                 params.nodes.len() as u32,
             ));
-            workloads.insert(
-                app,
-                WorkloadModel::Transactional(TxnPerformanceModel::new(
-                    TxnWorkload::new(tp.rate, tp.demand, SimDuration::from_secs(0.004)),
-                    ResponseTimeGoal::new(SimDuration::from_secs(0.05)),
-                )),
-            );
+            workloads.insert(app, txn_model(tp));
         }
         ProblemFixture {
             cluster,
@@ -185,6 +179,27 @@ impl ProblemFixture {
             current,
             now,
             cycle,
+        }
+    }
+
+    /// Adds one web tier per entry of `txns`, each placed on every node
+    /// its memory still fits, so the tiers span several nodes and share
+    /// them — the water-filler's max-flow path, which [`Self::build`]
+    /// (at most one web tier, never pre-placed) does not reach.
+    pub fn add_spanning_txns(&mut self, txns: &[TxnParams]) {
+        let nodes: Vec<NodeId> = self.cluster.node_ids().collect();
+        for tp in txns {
+            let app = self.apps.add(ApplicationSpec::transactional(
+                Memory::from_mb(tp.memory),
+                CpuSpeed::from_mhz(f64::INFINITY),
+                nodes.len() as u32,
+            ));
+            self.workloads.insert(app, txn_model(tp));
+            for &node in &nodes {
+                let _ = self
+                    .current
+                    .checked_place(app, node, &self.cluster, &self.apps);
+            }
         }
     }
 
@@ -200,4 +215,12 @@ impl ProblemFixture {
             forbidden: Default::default(),
         }
     }
+}
+
+/// The queueing model of a generated web tier.
+fn txn_model(tp: &TxnParams) -> WorkloadModel {
+    WorkloadModel::Transactional(TxnPerformanceModel::new(
+        TxnWorkload::new(tp.rate, tp.demand, SimDuration::from_secs(0.004)),
+        ResponseTimeGoal::new(SimDuration::from_secs(0.05)),
+    ))
 }
