@@ -4,17 +4,15 @@
 //! times (400 → 50 s) and three schedulers (FCFS, EDF, APC). The sweep
 //! is embarrassingly parallel, so runs execute on a scoped thread pool,
 //! one worker per (inter-arrival, scheduler) pair up to the machine's
-//! parallelism. Results are cached as JSON under `results/` so the three
-//! figure binaries don't re-simulate.
+//! parallelism. There is no cache: each of `fig3`, `fig4` and `fig5`
+//! re-runs the sweep on today's engine (about 13 s at paper scale on two
+//! cores), so `results/` is always derived, never replayed.
 
 use std::sync::Mutex;
 
-use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
 use dynaplace_sim::engine::SimConfig;
 use dynaplace_sim::metrics::RunMetrics;
 use dynaplace_sim::scenario::experiment_two;
-
-use crate::output::{results_dir, write_json};
 
 /// The paper's eight inter-arrival times, in seconds.
 pub const EXP2_INTER_ARRIVALS: [f64; 8] = [400.0, 350.0, 300.0, 250.0, 200.0, 150.0, 100.0, 50.0];
@@ -30,26 +28,6 @@ pub struct Exp2Run {
     pub metrics: RunMetrics,
 }
 
-impl ToJson for Exp2Run {
-    fn to_json(&self) -> Json {
-        obj([
-            ("scheduler", self.scheduler.to_json()),
-            ("inter_arrival", self.inter_arrival.to_json()),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Exp2Run {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Exp2Run {
-            scheduler: v.field("scheduler")?,
-            inter_arrival: v.field("inter_arrival")?,
-            metrics: v.field("metrics")?,
-        })
-    }
-}
-
 fn scheduler_configs() -> Vec<(&'static str, SimConfig)> {
     vec![
         ("FCFS", SimConfig::fcfs_default()),
@@ -58,22 +36,12 @@ fn scheduler_configs() -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
-/// Runs (or loads from cache) the full sweep: `jobs` jobs per run, all
-/// eight inter-arrival times, all three schedulers.
+/// Runs the full sweep: `jobs` jobs per run, all eight inter-arrival
+/// times, all three schedulers.
 ///
 /// Pass `jobs = 800` for the paper-scale sweep; smaller values are
-/// useful for quick shape checks. The cache key includes `seed` and
-/// `jobs`.
+/// useful for quick shape checks.
 pub fn run_experiment_two_sweep(seed: u64, jobs: usize) -> Vec<Exp2Run> {
-    let cache_name = format!("exp2_sweep_seed{seed}_jobs{jobs}");
-    let cache_path = results_dir().join(format!("{cache_name}.json"));
-    if let Ok(data) = std::fs::read_to_string(&cache_path) {
-        if let Ok(runs) = Json::parse(&data).and_then(|v| Vec::<Exp2Run>::from_json(&v)) {
-            eprintln!("loaded cached sweep from {}", cache_path.display());
-            return runs;
-        }
-    }
-
     let mut work: Vec<(String, f64, SimConfig)> = Vec::new();
     for &ia in &EXP2_INTER_ARRIVALS {
         for (name, config) in scheduler_configs() {
@@ -126,7 +94,6 @@ pub fn run_experiment_two_sweep(seed: u64, jobs: usize) -> Vec<Exp2Run> {
             .reverse()
             .then_with(|| a.scheduler.cmp(&b.scheduler))
     });
-    write_json(&cache_name, &runs);
     runs
 }
 

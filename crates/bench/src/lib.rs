@@ -2,7 +2,7 @@
 //! evaluation (§4.3 and §5).
 //!
 //! Each `fig*`/`table*` binary runs the corresponding scenario, writes
-//! machine-readable CSV/JSON under `results/`, and prints an ASCII
+//! machine-readable CSV under `results/`, and prints an ASCII
 //! rendition plus the shape checks that EXPERIMENTS.md records.
 //!
 //! | Binary   | Reproduces |
@@ -24,4 +24,4 @@ pub mod exp2;
 pub mod output;
 
 pub use exp2::{run_experiment_two_sweep, Exp2Run, EXP2_INTER_ARRIVALS};
-pub use output::{ascii_plot, ascii_table, format_pct, results_dir, write_csv, write_json};
+pub use output::{ascii_plot, ascii_table, format_pct, results_dir, write_csv};

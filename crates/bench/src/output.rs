@@ -1,9 +1,7 @@
-//! Output helpers: CSV/JSON artifacts under `results/` and ASCII tables.
+//! Output helpers: CSV artifacts under `results/` and ASCII tables.
 
 use std::fs;
 use std::path::PathBuf;
-
-use dynaplace_json::ToJson;
 
 /// The directory experiment artifacts are written to (`results/` under
 /// the workspace root, overridable with `DYNAPLACE_RESULTS`).
@@ -39,18 +37,6 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf 
         out.push('\n');
     }
     fs::write(&path, out).expect("write csv");
-    path
-}
-
-/// Serializes `value` as pretty JSON under `results/<name>.json`.
-///
-/// # Panics
-///
-/// Panics on I/O errors.
-pub fn write_json<T: ToJson>(name: &str, value: &T) -> PathBuf {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = value.to_json().pretty();
-    fs::write(&path, json).expect("write json");
     path
 }
 

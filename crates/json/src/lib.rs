@@ -3,8 +3,8 @@
 //!
 //! The workspace builds in offline environments where serde/serde_json
 //! are unavailable, and its JSON needs are small and concrete: read
-//! scenario specifications (`scenarios/*.json`), write result artifacts
-//! (`results/*.json`), and round-trip the Experiment Two sweep cache.
+//! scenario specifications (`scenarios/*.json`), and write run artifacts
+//! (`simulate`'s metrics, JSONL decision traces, bench rows).
 //! Those paths use explicit [`ToJson`]/[`FromJson`] implementations on
 //! the few types involved, which also keeps the on-disk format an
 //! intentional, reviewed surface rather than a derive side effect.

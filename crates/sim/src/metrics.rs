@@ -1,15 +1,15 @@
 //! Metric collection: everything the paper's figures plot.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
-use dynaplace_model::ids::{AppId, NodeId};
+use dynaplace_json::{obj, Json, ToJson};
+use dynaplace_model::ids::AppId;
 use dynaplace_model::placement::Placement;
 use dynaplace_model::units::{CpuSpeed, SimDuration, SimTime};
 use dynaplace_rpf::value::Rp;
 
 /// One per-cycle sample of system state (the time axes of Figs. 2, 6, 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CycleSample {
     /// Sample instant.
     pub time: SimTime,
@@ -41,7 +41,7 @@ pub struct CycleSample {
 
 /// Utilization of one extra rigid resource dimension in one
 /// [`CycleSample`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RigidDimSample {
     /// Registry name of the dimension (e.g. `disk_mb`).
     pub dim: String,
@@ -53,7 +53,7 @@ pub struct RigidDimSample {
 }
 
 /// One completed job (the scatter points of Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompletionRecord {
     /// The job.
     pub app: AppId,
@@ -75,7 +75,7 @@ pub struct CompletionRecord {
 
 /// Counters of placement changes (Fig. 4 counts suspends + resumes +
 /// migrations; starts of never-run jobs are not changes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ChangeCounters {
     /// First-time starts (boots).
     pub starts: u64,
@@ -98,7 +98,7 @@ impl ChangeCounters {
 /// Counters of the fault-tolerant actuation layer and its reconciliation
 /// loop. All-zero whenever the actuation configuration is the default
 /// (infallible) one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ActuationCounters {
     /// Operations that failed outright (placement unchanged).
     pub failed_ops: u64,
@@ -132,7 +132,7 @@ impl ActuationCounters {
 /// report transport faults, node-health transitions, and staleness-
 /// budget degradations. All-zero whenever the observation configuration
 /// is the default (perfect-telemetry) one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ObservationCounters {
     /// Node heartbeats lost in transport.
     pub missed_heartbeats: u64,
@@ -165,7 +165,7 @@ impl ObservationCounters {
 /// The placement in effect at the end of one control cycle. Only
 /// recorded when [`crate::engine::SimConfig::record_placements`] is set
 /// (golden-file regression tests diff consecutive records).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PlacementRecord {
     /// Sample instant (matches the [`CycleSample`] at the same time).
     pub time: SimTime,
@@ -180,7 +180,7 @@ pub struct PlacementRecord {
 /// job whose deadline is so hopelessly blown that its relative
 /// performance sits at the floor whatever it receives, on a cluster
 /// whose capacity a transactional workload legitimately absorbs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StarvationReport {
     /// When the stall was declared (end of the last identical cycle).
     pub time: SimTime,
@@ -195,7 +195,7 @@ pub struct StarvationReport {
 /// instead of O(all jobs).
 ///
 /// [`MetricsRetention::Aggregate`]: crate::engine::MetricsRetention
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CompletionTotals {
     /// Jobs completed.
     pub count: u64,
@@ -217,7 +217,7 @@ impl CompletionTotals {
 }
 
 /// Everything recorded over one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RunMetrics {
     /// Per-cycle samples in time order.
     pub samples: Vec<CycleSample>,
@@ -318,18 +318,10 @@ impl RunMetrics {
     }
 }
 
-// JSON conversions matching the checked-in `results/*.json` artifacts:
-// unit newtypes and ids render as plain numbers, absent optionals as
-// `null`.
-
-/// Decodes an application or node id, rejecting values a `u32` cannot
-/// hold. These used to be truncated with `as u32`, so a corrupt artifact
-/// with app `4294967297` silently decoded as app `1`.
-fn decode_id(raw: u64, what: &str) -> Result<u32, JsonError> {
-    u32::try_from(raw).map_err(|_| JsonError {
-        message: format!("{what} id {raw} is out of range (max {})", u32::MAX),
-    })
-}
+// JSON encoding, written as `simulate`'s metrics output and hashed by the
+// benchmark's run fingerprint: unit newtypes and ids render as plain numbers, absent
+// optionals as `null`. Nothing decodes metrics JSON, so there is no
+// `FromJson`; `encoding_is_pinned` guards the bytes.
 
 impl ToJson for CycleSample {
     fn to_json(&self) -> Json {
@@ -359,27 +351,6 @@ impl ToJson for CycleSample {
     }
 }
 
-impl FromJson for CycleSample {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CycleSample {
-            time: SimTime::from_secs(v.field("time")?),
-            batch_hypothetical_rp: v
-                .field_or::<Option<f64>>("batch_hypothetical_rp")?
-                .map(Rp::new),
-            txn_rp: v.field_or::<Option<f64>>("txn_rp")?.map(Rp::new),
-            batch_allocation: CpuSpeed::from_mhz(v.field("batch_allocation")?),
-            txn_allocation: CpuSpeed::from_mhz(v.field("txn_allocation")?),
-            running_jobs: v.field("running_jobs")?,
-            waiting_jobs: v.field("waiting_jobs")?,
-            placement_compute_secs: v.field("placement_compute_secs")?,
-            // Absent in artifacts written before fallible actuation.
-            pending_actions: v.field_or("pending_actions")?,
-            // Absent in memory-only artifacts.
-            rigid_utilization: v.field_or("rigid_utilization")?,
-        })
-    }
-}
-
 impl ToJson for RigidDimSample {
     fn to_json(&self) -> Json {
         obj([
@@ -387,16 +358,6 @@ impl ToJson for RigidDimSample {
             ("used", self.used.to_json()),
             ("capacity", self.capacity.to_json()),
         ])
-    }
-}
-
-impl FromJson for RigidDimSample {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RigidDimSample {
-            dim: v.field("dim")?,
-            used: v.field("used")?,
-            capacity: v.field("capacity")?,
-        })
     }
 }
 
@@ -415,21 +376,6 @@ impl ToJson for CompletionRecord {
     }
 }
 
-impl FromJson for CompletionRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CompletionRecord {
-            app: AppId::new(decode_id(v.field::<u64>("app")?, "app")?),
-            arrival: SimTime::from_secs(v.field("arrival")?),
-            completion: SimTime::from_secs(v.field("completion")?),
-            deadline: SimTime::from_secs(v.field("deadline")?),
-            distance: SimDuration::from_secs(v.field("distance")?),
-            rp: Rp::new(v.field("rp")?),
-            goal_factor: v.field("goal_factor")?,
-            met_deadline: v.field("met_deadline")?,
-        })
-    }
-}
-
 impl ToJson for ChangeCounters {
     fn to_json(&self) -> Json {
         obj([
@@ -438,17 +384,6 @@ impl ToJson for ChangeCounters {
             ("resumes", self.resumes.to_json()),
             ("migrations", self.migrations.to_json()),
         ])
-    }
-}
-
-impl FromJson for ChangeCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ChangeCounters {
-            starts: v.field("starts")?,
-            suspends: v.field("suspends")?,
-            resumes: v.field("resumes")?,
-            migrations: v.field("migrations")?,
-        })
     }
 }
 
@@ -467,21 +402,6 @@ impl ToJson for ActuationCounters {
     }
 }
 
-impl FromJson for ActuationCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ActuationCounters {
-            failed_ops: v.field_or("failed_ops")?,
-            timed_out_ops: v.field_or("timed_out_ops")?,
-            retries: v.field_or("retries")?,
-            deferrals: v.field_or("deferrals")?,
-            quarantines: v.field_or("quarantines")?,
-            fill_only_fallbacks: v.field_or("fill_only_fallbacks")?,
-            deadline_truncations: v.field_or("deadline_truncations")?,
-            invariant_skips: v.field_or("invariant_skips")?,
-        })
-    }
-}
-
 impl ToJson for ObservationCounters {
     fn to_json(&self) -> Json {
         obj([
@@ -493,20 +413,6 @@ impl ToJson for ObservationCounters {
             ("stale_holds", self.stale_holds.to_json()),
             ("fill_only_degrades", self.fill_only_degrades.to_json()),
         ])
-    }
-}
-
-impl FromJson for ObservationCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ObservationCounters {
-            missed_heartbeats: v.field_or("missed_heartbeats")?,
-            lost_reports: v.field_or("lost_reports")?,
-            suspects: v.field_or("suspects")?,
-            deaths: v.field_or("deaths")?,
-            reinstatements: v.field_or("reinstatements")?,
-            stale_holds: v.field_or("stale_holds")?,
-            fill_only_degrades: v.field_or("fill_only_degrades")?,
-        })
     }
 }
 
@@ -530,46 +436,6 @@ impl ToJson for PlacementRecord {
     }
 }
 
-impl FromJson for PlacementRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let triples: Vec<(u64, (u64, u64))> = match v.get("instances") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|item| {
-                    let arr = item.as_arr().ok_or_else(|| JsonError {
-                        message: "placement instance must be an array".into(),
-                    })?;
-                    match arr {
-                        [a, n, c] => {
-                            Ok((u64::from_json(a)?, (u64::from_json(n)?, u64::from_json(c)?)))
-                        }
-                        _ => Err(JsonError {
-                            message: "placement instance must be [app, node, count]".into(),
-                        }),
-                    }
-                })
-                .collect::<Result<_, _>>()?,
-            _ => {
-                return Err(JsonError {
-                    message: "placement record missing instances".into(),
-                })
-            }
-        };
-        let mut placement = Placement::new();
-        for (app, (node, count)) in triples {
-            let app = AppId::new(decode_id(app, "app")?);
-            let node = NodeId::new(decode_id(node, "node")?);
-            for _ in 0..count {
-                placement.place(app, node);
-            }
-        }
-        Ok(PlacementRecord {
-            time: SimTime::from_secs(v.field("time")?),
-            placement,
-        })
-    }
-}
-
 impl ToJson for StarvationReport {
     fn to_json(&self) -> Json {
         let apps: Vec<Json> = self
@@ -584,19 +450,6 @@ impl ToJson for StarvationReport {
     }
 }
 
-impl FromJson for StarvationReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let apps: Vec<u64> = v.field("apps")?;
-        Ok(StarvationReport {
-            time: SimTime::from_secs(v.field("time")?),
-            apps: apps
-                .into_iter()
-                .map(|a| Ok(AppId::new(decode_id(a, "app")?)))
-                .collect::<Result<_, JsonError>>()?,
-        })
-    }
-}
-
 impl ToJson for CompletionTotals {
     fn to_json(&self) -> Json {
         obj([
@@ -604,16 +457,6 @@ impl ToJson for CompletionTotals {
             ("met_deadlines", self.met_deadlines.to_json()),
             ("sum_rp", self.sum_rp.to_json()),
         ])
-    }
-}
-
-impl FromJson for CompletionTotals {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CompletionTotals {
-            count: v.field("count")?,
-            met_deadlines: v.field("met_deadlines")?,
-            sum_rp: v.field("sum_rp")?,
-        })
     }
 }
 
@@ -644,30 +487,10 @@ impl ToJson for RunMetrics {
     }
 }
 
-impl FromJson for RunMetrics {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RunMetrics {
-            samples: v.field("samples")?,
-            completions: v.field("completions")?,
-            // Absent everywhere but aggregate-retention streaming runs.
-            totals: v.field_or("totals")?,
-            changes: v.field("changes")?,
-            // Absent in artifacts written before fallible actuation.
-            actuation: v.field_or("actuation")?,
-            // Absent in perfect-telemetry artifacts (and everything
-            // written before the observation layer).
-            observation: v.field_or("observation")?,
-            // Absent in artifacts written before placements existed.
-            placements: v.field_or("placements")?,
-            // Absent in artifacts written before the starvation breaker.
-            starvation: v.field_or("starvation")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynaplace_model::ids::NodeId;
 
     fn completion(met: bool, factor: f64, rp: f64) -> CompletionRecord {
         CompletionRecord {
@@ -744,38 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_ids_fail_to_decode() {
-        // u32::MAX + 2 used to truncate to app 1.
-        let text = r#"{
-            "app": 4294967297, "arrival": 0.0, "completion": 1.0,
-            "deadline": 2.0, "distance": 1.0, "rp": 0.5,
-            "goal_factor": 2.0, "met_deadline": true
-        }"#;
-        let err = CompletionRecord::from_json(&Json::parse(text).unwrap()).unwrap_err();
-        assert!(err.message.contains("4294967297"), "{}", err.message);
-        assert!(err.message.contains("out of range"), "{}", err.message);
-
-        let text = r#"{ "time": 0.0, "instances": [[0, 4294967297, 1]] }"#;
-        let err = PlacementRecord::from_json(&Json::parse(text).unwrap()).unwrap_err();
-        assert!(err.message.contains("node id"), "{}", err.message);
-
-        // In-range ids still decode.
-        let text = r#"{ "time": 0.0, "instances": [[7, 3, 2]] }"#;
-        let rec = PlacementRecord::from_json(&Json::parse(text).unwrap()).unwrap();
-        assert_eq!(rec.placement.count(AppId::new(7), NodeId::new(3)), 2);
-    }
-
-    #[test]
-    fn large_goal_factor_survives_json_round_trip() {
-        let mut m = RunMetrics::default();
-        m.completions.push(completion(true, 9.87654321e12, 0.25));
-        let text = m.to_json().pretty();
-        let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.completions[0].goal_factor, 9.87654321e12);
-        assert_eq!(back.completions_with_factor(9.87654321e12).count(), 1);
-    }
-
-    #[test]
     fn change_totals() {
         let c = ChangeCounters {
             starts: 10,
@@ -797,86 +588,66 @@ mod tests {
             .approx_eq(Rp::new(0.4), 1e-12));
     }
 
+    /// `simulate`'s metrics files and the benchmark's run fingerprint
+    /// hash these exact bytes. Covers full retention, aggregate `totals`
+    /// with the conditionally omitted `observation` and
+    /// `rigid_utilization` fields present, and a goal factor beyond 10^12.
     #[test]
-    fn metrics_round_trip_through_json() {
-        let mut m = RunMetrics::default();
-        m.samples.push(CycleSample {
-            time: SimTime::from_secs(60.0),
-            batch_hypothetical_rp: Some(Rp::new(0.25)),
-            txn_rp: None,
-            batch_allocation: CpuSpeed::from_mhz(1_234.5),
-            txn_allocation: CpuSpeed::from_mhz(0.0),
-            running_jobs: 3,
-            waiting_jobs: 1,
-            placement_compute_secs: 0.0125,
-            pending_actions: 2,
-            rigid_utilization: vec![RigidDimSample {
-                dim: "disk_mb".to_string(),
-                used: 2_048.0,
-                capacity: 8_192.0,
-            }],
+    fn encoding_is_pinned() {
+        let mut full = RunMetrics::default();
+        full.samples.push(sample_with_compute(0.0125));
+        full.completions.push(completion(true, 2.5, 0.375));
+        full.completions.push(completion(false, 1.3, -0.125));
+        full.changes.migrations = 2;
+        full.actuation.retries = 3;
+        let mut placement = Placement::new();
+        placement.place(AppId::new(7), NodeId::new(1));
+        placement.place(AppId::new(7), NodeId::new(1));
+        placement.place(AppId::new(2), NodeId::new(0));
+        full.placements.push(PlacementRecord {
+            time: SimTime::from_secs(600.0),
+            placement,
         });
-        m.completions.push(completion(true, 2.5, 0.375));
-        m.changes = ChangeCounters {
-            starts: 4,
-            suspends: 1,
-            resumes: 1,
-            migrations: 0,
-        };
-        m.actuation = ActuationCounters {
-            failed_ops: 3,
-            timed_out_ops: 1,
-            retries: 2,
-            deferrals: 5,
-            quarantines: 1,
-            fill_only_fallbacks: 1,
-            deadline_truncations: 0,
-            invariant_skips: 0,
-        };
-        m.observation = ObservationCounters {
-            missed_heartbeats: 12,
-            lost_reports: 7,
-            suspects: 3,
-            deaths: 1,
-            reinstatements: 1,
-            stale_holds: 2,
-            fill_only_degrades: 1,
-        };
-        let text = m.to_json().pretty();
-        let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.samples, m.samples);
-        assert_eq!(back.completions, m.completions);
-        assert_eq!(back.changes, m.changes);
-        assert_eq!(back.actuation, m.actuation);
-        assert_eq!(back.observation, m.observation);
-        assert_eq!(back.observation.lost_total(), 19);
-    }
+        full.starvation = Some(StarvationReport {
+            time: SimTime::from_secs(1200.0),
+            apps: vec![AppId::new(2), AppId::new(9)],
+        });
 
-    #[test]
-    fn actuation_counters_absent_in_old_artifacts_default_to_zero() {
-        let m = RunMetrics::default();
-        let mut json = m.to_json();
-        // Simulate a pre-actuation artifact by dropping the new fields.
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(k, _)| k != "actuation");
+        let mut aggregate = RunMetrics::default();
+        let mut sample = sample_with_compute(0.0);
+        sample.batch_hypothetical_rp = Some(Rp::new(0.25));
+        sample.rigid_utilization.push(RigidDimSample {
+            dim: "disk_mb".to_string(),
+            used: 2_048.0,
+            capacity: 8_192.0,
+        });
+        aggregate.samples.push(sample);
+        aggregate.totals = Some(CompletionTotals {
+            count: 5,
+            met_deadlines: 4,
+            sum_rp: 1.75,
+        });
+        aggregate.observation.lost_reports = 7;
+
+        let mut huge = RunMetrics::default();
+        huge.completions.push(completion(true, 9.87654321e12, 0.25));
+
+        let pinned = [
+            (
+                &full,
+                r#"{"samples":[{"time":0.0,"batch_hypothetical_rp":null,"txn_rp":null,"batch_allocation":0.0,"txn_allocation":0.0,"running_jobs":0.0,"waiting_jobs":0.0,"placement_compute_secs":0.0125,"pending_actions":0.0}],"completions":[{"app":0.0,"arrival":0.0,"completion":10.0,"deadline":20.0,"distance":10.0,"rp":0.375,"goal_factor":2.5,"met_deadline":true},{"app":0.0,"arrival":0.0,"completion":10.0,"deadline":20.0,"distance":-5.0,"rp":-0.125,"goal_factor":1.3,"met_deadline":false}],"changes":{"starts":0.0,"suspends":0.0,"resumes":0.0,"migrations":2.0},"actuation":{"failed_ops":0.0,"timed_out_ops":0.0,"retries":3.0,"deferrals":0.0,"quarantines":0.0,"fill_only_fallbacks":0.0,"deadline_truncations":0.0,"invariant_skips":0.0},"placements":[{"time":600.0,"instances":[[2.0,0.0,1.0],[7.0,1.0,2.0]]}],"starvation":{"time":1200.0,"apps":[2.0,9.0]}}"#,
+            ),
+            (
+                &aggregate,
+                r#"{"samples":[{"time":0.0,"batch_hypothetical_rp":0.25,"txn_rp":null,"batch_allocation":0.0,"txn_allocation":0.0,"running_jobs":0.0,"waiting_jobs":0.0,"placement_compute_secs":0.0,"pending_actions":0.0,"rigid_utilization":[{"dim":"disk_mb","used":2048.0,"capacity":8192.0}]}],"completions":[],"totals":{"count":5.0,"met_deadlines":4.0,"sum_rp":1.75},"changes":{"starts":0.0,"suspends":0.0,"resumes":0.0,"migrations":0.0},"actuation":{"failed_ops":0.0,"timed_out_ops":0.0,"retries":0.0,"deferrals":0.0,"quarantines":0.0,"fill_only_fallbacks":0.0,"deadline_truncations":0.0,"invariant_skips":0.0},"observation":{"missed_heartbeats":0.0,"lost_reports":7.0,"suspects":0.0,"deaths":0.0,"reinstatements":0.0,"stale_holds":0.0,"fill_only_degrades":0.0},"placements":[],"starvation":null}"#,
+            ),
+            (
+                &huge,
+                r#"{"samples":[],"completions":[{"app":0.0,"arrival":0.0,"completion":10.0,"deadline":20.0,"distance":10.0,"rp":0.25,"goal_factor":9876543210000.0,"met_deadline":true}],"changes":{"starts":0.0,"suspends":0.0,"resumes":0.0,"migrations":0.0},"actuation":{"failed_ops":0.0,"timed_out_ops":0.0,"retries":0.0,"deferrals":0.0,"quarantines":0.0,"fill_only_fallbacks":0.0,"deadline_truncations":0.0,"invariant_skips":0.0},"placements":[],"starvation":null}"#,
+            ),
+        ];
+        for (metrics, bytes) in pinned {
+            assert_eq!(metrics.to_json().compact(), bytes);
         }
-        let back = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(back.actuation, ActuationCounters::default());
-        assert_eq!(back.actuation.unapplied_total(), 0);
-    }
-
-    #[test]
-    fn observation_counters_absent_in_old_artifacts_default_to_zero() {
-        // Perfect-telemetry runs omit the field entirely (byte-stable
-        // artifacts), and artifacts written before the observation layer
-        // never had it; both decode to all-zero counters.
-        let m = RunMetrics::default();
-        let text = m.to_json().pretty();
-        assert!(
-            !text.contains("observation"),
-            "all-zero counters must not be emitted: {text}"
-        );
-        let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.observation, ObservationCounters::default());
     }
 }
