@@ -119,7 +119,7 @@ pub struct ApcConfig {
     /// partitions the cluster into cells of
     /// [`ShardingPolicy::cell_size`] nodes, places each cell
     /// independently (in parallel when [`ApcConfig::threads`] allows),
-    /// and rebalances the worst-satisfied applications across cells.
+    /// and merges the cell placements.
     pub sharding: Option<ShardingPolicy>,
 }
 
@@ -270,16 +270,8 @@ impl ApcConfigBuilder {
         if c.max_sweeps == 0 {
             return Err(ConfigError::ZeroSweeps);
         }
-        if let Some(sharding) = &c.sharding {
-            if sharding.cell_size == 0 {
-                return Err(ConfigError::ZeroCellSize);
-            }
-            if !sharding.rebalance_threshold.is_finite() || sharding.rebalance_threshold < 0.0 {
-                return Err(ConfigError::InvalidThreshold {
-                    name: "rebalance_threshold",
-                    value: sharding.rebalance_threshold,
-                });
-            }
+        if c.sharding.as_ref().is_some_and(|s| s.cell_size == 0) {
+            return Err(ConfigError::ZeroCellSize);
         }
         Ok(self.config)
     }
@@ -399,7 +391,7 @@ fn score_candidates(
 
 /// Compares two satisfaction vectors under the configured objective:
 /// `Greater` means `a` is the better system state.
-pub(crate) fn objective_cmp(
+fn objective_cmp(
     config: &ApcConfig,
     a: &dynaplace_rpf::satisfaction::SatisfactionVector,
     b: &dynaplace_rpf::satisfaction::SatisfactionVector,
@@ -469,7 +461,7 @@ impl PlacementOutcome {
 
 /// Runs the full three-nested-loop optimization for one control cycle.
 /// With [`ApcConfig::sharding`] set, the cluster is partitioned into
-/// cells that are placed independently and rebalanced (see
+/// cells that are placed independently and merged (see
 /// [`crate::shard`]); with `None` this is the classic whole-cluster
 /// search.
 ///
@@ -523,7 +515,7 @@ pub fn fill_only_traced(
 /// ascending-sorted element pair differing by more than `tolerance`
 /// (mirroring [`SatisfactionVector::compare`]); for total performance,
 /// the sum difference. Only computed when a sink wants the event.
-pub(crate) fn justifying_delta(
+fn justifying_delta(
     config: &ApcConfig,
     a: &SatisfactionVector,
     b: &SatisfactionVector,
@@ -550,7 +542,7 @@ pub(crate) fn justifying_delta(
 
 /// Restricts one optimization run to a subset of the cluster and of the
 /// applications — the mechanism the cell-sharded layer (and its global
-/// residual/rebalance passes) reuses the whole three-loop search
+/// residual pass) reuses the whole three-loop search
 /// through. The default scope (`None`/`None`) is the classic
 /// whole-problem search, bit for bit.
 #[derive(Debug, Clone, Copy, Default)]

@@ -8,9 +8,8 @@
 //! nodes, live applications are distributed across cells by a
 //! deterministic greedy pack on estimated demand vs. cell capacity, each
 //! cell is solved independently with the existing three-loop search
-//! (in parallel across cells, each with its own score cache), and a
-//! cross-cell rebalancer then tries moving the worst-satisfied
-//! applications from saturated cells into slack ones.
+//! (in parallel across cells, each with its own score cache), and the
+//! cell placements are merged.
 //!
 //! Applications that cannot be confined to one cell — pinning
 //! constraints spanning cells, current instances straddling cells, or
@@ -19,22 +18,29 @@
 //! move the escalated applications; everything else is frozen in place
 //! and still contributes to every score.
 //!
+//! Within one placement call a cell is a fence: a confined application
+//! is placed only on its own cell's nodes. (The one exception is a merge
+//! that is infeasible under global minimum speeds, which falls back to
+//! the classic whole-cluster search.) A confined application leaves a
+//! saturated cell only once it has no instances, because its cell solve
+//! suspended it: the next cycle `assign_apps` no longer holds it
+//! sticky and re-packs it into the cell with the most CPU slack.
+//!
 //! # Determinism contract
 //!
 //! Cell partitioning, per-cell assignment, per-cell results, and the
 //! merged placement are bit-identical across runs and thread counts:
 //! cells are contiguous id-ordered chunks, the greedy pack sorts by
-//! (demand desc, id asc) with `total_cmp`, cells are solved by the
-//! deterministic scoped search and merged in cell order, and the
-//! rebalancer adopts moves by the same `objective_cmp` the optimizer
-//! uses. With one cell (``cell_size >= cluster``) the pipeline reduces
-//! to exactly the classic whole-cluster search — same placement, score,
-//! actions, and stats, bit for bit — which
-//! `crates/core/tests/shard_differential.rs` enforces via `to_bits`.
+//! (demand desc, id asc) with `total_cmp`, and cells are solved by the
+//! deterministic scoped search and merged in cell order. With one cell
+//! (``cell_size >= cluster``) the pipeline reduces to exactly the
+//! classic whole-cluster search — same placement, score, actions, and
+//! stats, bit for bit — which `crates/core/tests/shard_differential.rs`
+//! enforces via `to_bits`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use dynaplace_model::cluster::Cluster;
 use dynaplace_model::ids::{AppId, NodeId};
@@ -45,16 +51,14 @@ use dynaplace_model::units::CpuSpeed;
 use dynaplace_rpf::model::PerformanceModel;
 use dynaplace_trace::{EscalationReason, TraceEvent, TraceLevel, TraceSink};
 
-use crate::evaluate::{score_placement, PlacementScore};
-use crate::optimizer::{
-    justifying_delta, objective_cmp, optimize_scoped, ApcConfig, OptimizerStats, PlacementOutcome,
-    SearchScope,
-};
+use crate::evaluate::score_placement;
+use crate::optimizer::{optimize_scoped, ApcConfig, OptimizerStats, PlacementOutcome, SearchScope};
 use crate::problem::{PlacementProblem, WorkloadModel};
 
 /// How the cluster is sharded into cells. Attach it to a configuration
 /// via [`ApcConfig::builder`]; `None` keeps the classic single-cell
-/// search.
+/// search. Cells are fences within one placement call (see the module
+/// docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingPolicy {
     /// Nodes per cell. The cluster is split into contiguous id-ordered
@@ -62,32 +66,12 @@ pub struct ShardingPolicy {
     /// of at least the cluster size yields one cell and reduces to the
     /// classic search bit for bit.
     pub cell_size: usize,
-    /// Maximum cross-cell rebalance moves attempted per cycle after the
-    /// cells settle; `0` disables the rebalancer.
-    pub rebalance_moves: usize,
-    /// Minimum global satisfaction gain (under the configured objective)
-    /// a rebalance move must clear to be adopted — the cross-cell
-    /// counterpart of [`ApcConfig::disruption_threshold`].
-    pub rebalance_threshold: f64,
-}
-
-impl Default for ShardingPolicy {
-    fn default() -> Self {
-        ShardingPolicy {
-            cell_size: 64,
-            rebalance_moves: 4,
-            rebalance_threshold: 0.02,
-        }
-    }
 }
 
 impl ShardingPolicy {
-    /// A policy with the given cell size and default rebalancing.
+    /// A policy with the given cell size.
     pub fn new(cell_size: usize) -> Self {
-        ShardingPolicy {
-            cell_size,
-            ..Self::default()
-        }
+        ShardingPolicy { cell_size }
     }
 }
 
@@ -402,10 +386,7 @@ pub(crate) fn place_sharded(
     }
     let now = problem.now.as_secs();
 
-    let CellAssignment {
-        mut cell_of,
-        escalated,
-    } = assign_apps(problem, &cells);
+    let CellAssignment { cell_of, escalated } = assign_apps(problem, &cells);
     if sink.wants(TraceLevel::Decisions) {
         for (&app, &reason) in &escalated {
             sink.record(&TraceEvent::CellEscalated {
@@ -425,11 +406,8 @@ pub(crate) fn place_sharded(
         .iter()
         .filter(|(app, _, _)| escalated.contains(app))
         .collect();
-    let reserved = if escalated_current.is_empty() {
-        None
-    } else {
-        Some(reserve_escalated(problem, &escalated_current, &escalated))
-    };
+    let reserved = (!escalated_current.is_empty())
+        .then(|| reserve_escalated(problem, &escalated_current, &escalated));
     let cell_cluster: &Cluster = reserved
         .as_ref()
         .map_or(problem.cluster, |(cluster, _)| cluster);
@@ -470,13 +448,9 @@ pub(crate) fn place_sharded(
     // deterministic at any thread count. Outer workers force the
     // per-cell search serial so threads aren't multiplied.
     let workers = config.effective_threads().min(cells.len());
-    let cell_config = if workers > 1 {
-        ApcConfig {
-            threads: 1,
-            ..config.clone()
-        }
-    } else {
-        config.clone()
+    let cell_config = ApcConfig {
+        threads: if workers > 1 { 1 } else { config.threads },
+        ..config.clone()
     };
     let buffers: Vec<BufferSink> = (0..cells.len()).map(|_| BufferSink::new(sink)).collect();
     let solve = |i: usize| {
@@ -491,36 +465,30 @@ pub(crate) fn place_sharded(
             },
         )
     };
-    let outcomes: Vec<PlacementOutcome> = if workers <= 1 {
-        (0..cells.len()).map(solve).collect()
+    // Workers claim cells by index and each result lands in its cell's
+    // slot, so the outcome order never depends on scheduling.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<PlacementOutcome>> = cells.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+        let Some(slot) = slots.get(i) else {
+            break;
+        };
+        assert!(slot.set(solve(i)).is_ok(), "each cell is claimed once");
+    };
+    if workers <= 1 {
+        work();
     } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, PlacementOutcome)>> =
-            Mutex::new(Vec::with_capacity(cells.len()));
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let outcome = solve(i);
-                    collected
-                        .lock()
-                        .expect("cell outcomes poisoned")
-                        .push((i, outcome));
-                });
+                scope.spawn(work);
             }
         });
-        let mut slots: Vec<Option<PlacementOutcome>> = (0..cells.len()).map(|_| None).collect();
-        for (i, outcome) in collected.into_inner().expect("cell outcomes poisoned") {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell solved"))
-            .collect()
-    };
+    }
+    let outcomes: Vec<PlacementOutcome> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every cell solved"))
+        .collect();
 
     // Replay each cell's trace in cell order, bracketed by enter/exit.
     if sink.wants(TraceLevel::Decisions) {
@@ -537,7 +505,7 @@ pub(crate) fn place_sharded(
             sink.record(&TraceEvent::CellExit {
                 time: now,
                 cell: i as u64,
-                evaluations: outcomes[i].stats.evaluations as u64,
+                evaluations: outcome.stats.evaluations as u64,
                 adoptions: outcome.stats.adoptions as u64,
                 timed_out: outcome.timed_out,
             });
@@ -567,35 +535,31 @@ pub(crate) fn place_sharded(
         };
     }
 
-    let mut cell_placements: Vec<Placement> = outcomes.into_iter().map(|o| o.placement).collect();
-    let mut merged: Placement = cell_placements
+    let merged: Placement = outcomes
         .iter()
-        .flat_map(Placement::iter)
+        .flat_map(|outcome| outcome.placement.iter())
         .chain(escalated_current.iter())
         .collect();
 
     // The global residual pass places the escalated apps over the whole
     // cluster; cell apps are frozen but still score. Without escalations
     // a single full-problem scoring of the merge suffices.
-    let mut score: PlacementScore;
-    if escalated.is_empty() {
+    let (merged, score) = if escalated.is_empty() {
         stats.evaluations += 1;
-        match score_placement(problem, &merged) {
-            Some(s) => score = s,
-            None => {
-                // The merge is infeasible under global minimum speeds (a
-                // cell promised capacity another cell's routes need).
-                // Fall back to the classic search rather than return an
-                // unscorable placement.
-                return optimize_scoped(
-                    problem,
-                    config,
-                    allow_removals,
-                    sink,
-                    SearchScope::default(),
-                );
-            }
-        }
+        let Some(score) = score_placement(problem, &merged) else {
+            // The merge is infeasible under global minimum speeds (a cell
+            // promised capacity another cell's routes need). Fall back to
+            // the classic search rather than return an unscorable
+            // placement.
+            return optimize_scoped(
+                problem,
+                config,
+                allow_removals,
+                sink,
+                SearchScope::default(),
+            );
+        };
+        (merged, score)
     } else {
         let residual_problem = PlacementProblem {
             cluster: problem.cluster,
@@ -617,29 +581,8 @@ pub(crate) fn place_sharded(
             },
         );
         absorb_stats(&mut stats, &mut timed_out, &residual);
-        merged = residual.placement;
-        score = residual.score;
-    }
-
-    // Cross-cell rebalance: move the globally worst-satisfied cell apps
-    // from saturated cells into the slackest cell, adopting a move only
-    // when the *global* score improves past the rebalance threshold.
-    if cells.len() > 1 && allow_removals && policy.rebalance_moves > 0 && !timed_out {
-        rebalance(
-            problem,
-            config,
-            policy,
-            &cells,
-            &mut cell_of,
-            &mut cell_placements,
-            &escalated,
-            &mut merged,
-            &mut score,
-            &mut stats,
-            sink,
-            now,
-        );
-    }
+        (residual.placement, residual.score)
+    };
 
     let actions = problem.current.diff(&merged);
     PlacementOutcome {
@@ -648,173 +591,6 @@ pub(crate) fn place_sharded(
         actions,
         stats,
         timed_out,
-    }
-}
-
-/// One cycle's cross-cell rebalancing (see [`place_sharded`]). Each
-/// attempt re-solves the slackest cell's subproblem with the mover added
-/// and adopts the move iff the merged global score beats the incumbent
-/// by more than [`ShardingPolicy::rebalance_threshold`].
-#[allow(clippy::too_many_arguments)]
-fn rebalance(
-    problem: &PlacementProblem<'_>,
-    config: &ApcConfig,
-    policy: &ShardingPolicy,
-    cells: &[Vec<NodeId>],
-    cell_of: &mut BTreeMap<AppId, usize>,
-    cell_placements: &mut [Placement],
-    escalated: &BTreeSet<AppId>,
-    merged: &mut Placement,
-    score: &mut PlacementScore,
-    stats: &mut OptimizerStats,
-    sink: &dyn TraceSink,
-    now: f64,
-) {
-    // Escalated instances may have moved in the residual pass; recompute
-    // the reserved-capacity view around their final positions.
-    let escalated_now: Placement = merged
-        .iter()
-        .filter(|(app, _, _)| escalated.contains(app))
-        .collect();
-    let reserved = if escalated_now.is_empty() {
-        None
-    } else {
-        Some(reserve_escalated(problem, &escalated_now, escalated))
-    };
-    let cluster: &Cluster = reserved
-        .as_ref()
-        .map_or(problem.cluster, |(cluster, _)| cluster);
-    let forbidden: BTreeSet<(AppId, NodeId)> = match &reserved {
-        None => problem.forbidden.clone(),
-        Some((_, extra)) => problem.forbidden.union(extra).copied().collect(),
-    };
-
-    let mut tried: BTreeSet<AppId> = BTreeSet::new();
-    for _ in 0..policy.rebalance_moves {
-        // Per-cell worst satisfaction; a cell with no scored apps (e.g.
-        // an empty cell) has infinite headroom.
-        let mut cell_worst = vec![f64::INFINITY; cells.len()];
-        for &(app, u) in score.satisfaction.entries() {
-            if let Some(&cell) = cell_of.get(&app) {
-                if u.value() < cell_worst[cell] {
-                    cell_worst[cell] = u.value();
-                }
-            }
-        }
-
-        // Mover: the globally worst-satisfied cell-confined app not yet
-        // tried. Pinned apps cannot leave their cell.
-        let mut candidate: Option<(AppId, usize)> = None;
-        for &(app, _) in score.satisfaction.entries() {
-            if tried.contains(&app) {
-                continue;
-            }
-            let Some(&from) = cell_of.get(&app) else {
-                continue;
-            };
-            let pinned = problem
-                .apps
-                .get(app)
-                .ok()
-                .is_some_and(|s| s.allowed_nodes().is_some());
-            if pinned {
-                continue;
-            }
-            candidate = Some((app, from));
-            break;
-        }
-        let Some((app, from_cell)) = candidate else {
-            break;
-        };
-
-        // Target: the slackest other cell. If even that one has no more
-        // headroom than the mover's own cell, no move can help.
-        let mut target: Option<(usize, f64)> = None;
-        for (cell, &worst) in cell_worst.iter().enumerate() {
-            if cell == from_cell {
-                continue;
-            }
-            if target.map_or(true, |(_, best)| worst > best) {
-                target = Some((cell, worst));
-            }
-        }
-        let Some((to_cell, to_worst)) = target else {
-            break;
-        };
-        if to_worst <= cell_worst[from_cell] {
-            break;
-        }
-        tried.insert(app);
-
-        // Re-solve the target cell with the mover added.
-        let workloads: BTreeMap<AppId, WorkloadModel> = cell_of
-            .iter()
-            .filter(|(_, &cell)| cell == to_cell)
-            .map(|(&a, _)| a)
-            .chain(std::iter::once(app))
-            .map(|a| (a, problem.workloads[&a].clone()))
-            .collect();
-        let trial_problem = PlacementProblem {
-            cluster,
-            apps: problem.apps,
-            workloads,
-            current: &cell_placements[to_cell],
-            now: problem.now,
-            cycle: problem.cycle,
-            forbidden: forbidden.clone(),
-        };
-        let sub = optimize_scoped(
-            &trial_problem,
-            config,
-            true,
-            &dynaplace_trace::NoopSink,
-            SearchScope {
-                nodes: Some(&cells[to_cell]),
-                movable: None,
-            },
-        );
-        stats.evaluations += sub.stats.evaluations;
-        stats.sweeps += sub.stats.sweeps;
-
-        // Judge the move by the merged *global* score.
-        let trial_merged: Placement = merged
-            .iter()
-            .filter(|&(a, _, _)| a != app && cell_of.get(&a) != Some(&to_cell))
-            .chain(sub.placement.iter())
-            .collect();
-        stats.evaluations += 1;
-        let Some(trial_score) = score_placement(problem, &trial_merged) else {
-            continue;
-        };
-        let adopted = objective_cmp(
-            config,
-            &trial_score.satisfaction,
-            &score.satisfaction,
-            policy.rebalance_threshold,
-        ) == std::cmp::Ordering::Greater;
-        if sink.wants(TraceLevel::Decisions) {
-            sink.record(&TraceEvent::RebalanceMove {
-                time: now,
-                app,
-                from_cell: from_cell as u64,
-                to_cell: to_cell as u64,
-                delta: justifying_delta(
-                    config,
-                    &trial_score.satisfaction,
-                    &score.satisfaction,
-                    config.epsilon,
-                ),
-                adopted,
-            });
-        }
-        if adopted {
-            stats.adoptions += 1;
-            cell_placements[from_cell].evict(app);
-            cell_placements[to_cell] = sub.placement;
-            cell_of.insert(app, to_cell);
-            *merged = trial_merged;
-            *score = trial_score;
-        }
     }
 }
 
@@ -1017,18 +793,5 @@ mod tests {
         assert_eq!(untouched.memory_capacity().as_mb(), 4_000.0);
         // No anti-affinity groups: no extra forbidden pairs.
         assert!(forbidden.is_empty());
-    }
-
-    #[test]
-    fn sharding_policy_defaults_are_sane() {
-        let policy = ShardingPolicy::default();
-        assert_eq!(policy.cell_size, 64);
-        assert!(policy.rebalance_moves > 0);
-        assert!(policy.rebalance_threshold > 0.0);
-        assert_eq!(ShardingPolicy::new(16).cell_size, 16);
-        assert_eq!(
-            ShardingPolicy::new(16).rebalance_threshold,
-            policy.rebalance_threshold
-        );
     }
 }

@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Claim 1 (the acceptance criterion): a cell at least as large as
-    /// the cluster means one cell, no escalation, no rebalancing — and
+    /// the cluster means one cell and no escalation — and
     /// the sharded entry points must reproduce the classic search
     /// exactly, for both `place` and `fill_only`, in both scoring modes.
     #[test]
@@ -155,7 +155,7 @@ proptest! {
 
     /// Claim 3, quarantine half: pairs forbidden at problem-build time
     /// (the actuator's quarantine list) stay empty in the sharded
-    /// placement — across cell solves, escalation, and rebalancing.
+    /// placement — across cell solves and escalation.
     #[test]
     fn sharded_placement_honors_forbidden_pairs(
         params in arb_problem_sized(4..9, 3..10),

@@ -1,15 +1,15 @@
 //! Directed end-to-end tests for the cell-sharded placement escalation
-//! and rebalancing paths (`crates/core/src/shard.rs`), driven through
+//! paths and cell fences (`crates/core/src/shard.rs`), driven through
 //! the public [`place_traced`] API:
 //!
 //! - a pin spanning two cells escalates with `CrossCellPin` and the
 //!   residual pass still honors the pin;
 //! - a footprint too large for any cell escalates with `Oversized` and
 //!   is placed across cell boundaries;
-//! - the cross-cell rebalancer adopts a move that clears
-//!   `rebalance_threshold` and rejects the same move when the threshold
-//!   is raised above the achievable gain, visible both in the final
-//!   placement and in the `RebalanceMove` trace events.
+//! - a saturated cell keeps its apps even while a neighbouring cell
+//!   idles: cells are fences within one placement call;
+//! - the pass totals equal the per-cell `CellExit` counters plus the one
+//!   merge scoring.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -133,23 +133,6 @@ fn escalations(events: &[TraceEvent]) -> Vec<(AppId, EscalationReason)> {
         .collect()
 }
 
-/// `(app, from_cell, to_cell, adopted)` for every rebalance attempt.
-fn rebalance_moves(events: &[TraceEvent]) -> Vec<(AppId, u64, u64, bool)> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::RebalanceMove {
-                app,
-                from_cell,
-                to_cell,
-                adopted,
-                ..
-            } => Some((*app, *from_cell, *to_cell, *adopted)),
-            _ => None,
-        })
-        .collect()
-}
-
 fn placed_nodes(placement: &Placement, app: AppId) -> BTreeSet<NodeId> {
     placement
         .iter()
@@ -244,94 +227,72 @@ fn oversized_footprint_escalates_to_the_residual_pass() {
 
 /// Five tight-deadline jobs squeezed into cell 0 of a two-cell cluster:
 /// cell 0 is oversubscribed (2500 MHz demand on 2000 MHz) while cell 1
-/// idles, so moving one job across is the clear global win.
-fn saturated_two_cell_world() -> (World, Vec<AppId>) {
+/// idles, so moving one job across would be a global win.
+fn saturated_two_cell_world() -> World {
     let mut world = World::new(4);
-    let apps: Vec<AppId> = (0..5).map(|_| world.add_batch(250_000.0, 600.0)).collect();
     // Current instances keep each app sticky in cell 0 (nodes 0..2).
-    for (i, &app) in apps.iter().enumerate() {
-        world.current.place(app, NodeId::new(i as u32 % 2));
+    for i in 0..5 {
+        let app = world.add_batch(250_000.0, 600.0);
+        world.current.place(app, NodeId::new(i % 2));
     }
-    (world, apps)
+    world
 }
 
 #[test]
-fn rebalance_adopts_a_move_that_clears_the_threshold() {
-    let (world, _) = saturated_two_cell_world();
+fn a_saturated_cell_keeps_its_apps_behind_the_fence() {
+    let world = saturated_two_cell_world();
     let problem = world.problem();
 
-    let policy = ShardingPolicy {
-        cell_size: 2,
-        rebalance_moves: 4,
-        rebalance_threshold: 1e-6,
-    };
     let sink = CollectingSink::default();
-    let outcome = place_traced(&problem, &sharded_config(policy), &sink);
+    let outcome = place_traced(&problem, &sharded_config(ShardingPolicy::new(2)), &sink);
 
-    let moves = rebalance_moves(&sink.events());
-    assert!(
-        moves
-            .iter()
-            .any(|&(_, from, to, adopted)| adopted && from == 0 && to == 1),
-        "a cell-0 -> cell-1 move is adopted past a tiny threshold, got {moves:?}"
-    );
-    let cell1_nodes: BTreeSet<NodeId> = [NodeId::new(2), NodeId::new(3)].into();
     assert!(
         outcome
             .placement
             .iter()
-            .any(|(_, node, count)| count > 0 && cell1_nodes.contains(&node)),
-        "an adopted rebalance lands instances in cell 1"
+            .all(|(_, node, count)| count == 0 || node.index() < 2),
+        "no cell-0 app crosses into cell 1, got {:?}",
+        outcome.placement
     );
-    assert!(outcome.stats.adoptions > 0);
-    assert_placement_valid(&problem, &outcome.placement, Some(&outcome.score.load));
-}
-
-#[test]
-fn rebalance_rejects_the_same_move_above_the_threshold() {
-    let (world, _) = saturated_two_cell_world();
-    let problem = world.problem();
-
-    let policy = ShardingPolicy {
-        cell_size: 2,
-        rebalance_moves: 4,
-        rebalance_threshold: 1e9,
-    };
-    let sink = CollectingSink::default();
-    let outcome = place_traced(&problem, &sharded_config(policy), &sink);
-
-    let moves = rebalance_moves(&sink.events());
     assert!(
-        !moves.is_empty() && moves.iter().all(|&(.., adopted)| !adopted),
-        "every attempted move is rejected under an unreachable threshold, got {moves:?}"
-    );
-    let cell1_nodes: BTreeSet<NodeId> = [NodeId::new(2), NodeId::new(3)].into();
-    assert!(
-        outcome
-            .placement
+        !sink
+            .events()
             .iter()
-            .all(|(_, node, count)| count == 0 || !cell1_nodes.contains(&node)),
-        "rejected moves leave cell 1 empty"
+            .any(|e| matches!(e, TraceEvent::RebalanceMove { .. })),
+        "no cross-cell move is tried"
     );
     assert_placement_valid(&problem, &outcome.placement, Some(&outcome.score.load));
 }
 
 #[test]
-fn zero_rebalance_moves_disables_the_rebalancer() {
-    let (world, _) = saturated_two_cell_world();
+fn pass_totals_are_the_cell_exits_plus_the_merge_scoring() {
+    // Four unplaced jobs packed across two cells; nothing escalates.
+    let mut world = World::new(4);
+    for _ in 0..4 {
+        world.add_batch(50_000.0, 600.0);
+    }
     let problem = world.problem();
 
-    let policy = ShardingPolicy {
-        cell_size: 2,
-        rebalance_moves: 0,
-        rebalance_threshold: 0.0,
-    };
     let sink = CollectingSink::default();
-    let outcome = place_traced(&problem, &sharded_config(policy), &sink);
+    let outcome = place_traced(&problem, &sharded_config(ShardingPolicy::new(2)), &sink);
 
-    assert!(
-        rebalance_moves(&sink.events()).is_empty(),
-        "rebalance_moves = 0 must not attempt any move"
-    );
-    assert_placement_valid(&problem, &outcome.placement, Some(&outcome.score.load));
+    let events = sink.events();
+    assert!(escalations(&events).is_empty(), "nothing escalates");
+    let (mut cells, mut evaluations, mut adoptions) = (0, 0, 0);
+    for event in &events {
+        if let TraceEvent::CellExit {
+            evaluations: e,
+            adoptions: a,
+            ..
+        } = event
+        {
+            cells += 1;
+            evaluations += e;
+            adoptions += a;
+        }
+    }
+    assert_eq!(cells, 2, "both cells are solved");
+    assert!(adoptions > 0, "the cells start the jobs");
+    assert_eq!(outcome.stats.evaluations as u64, evaluations + 1);
+    assert_eq!(outcome.stats.adoptions as u64, adoptions);
 }

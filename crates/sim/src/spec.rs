@@ -518,45 +518,63 @@ impl TraceSpec {
 
 /// Cell-sharded placement (APC only), in scenario-file form. Absent
 /// means the classic single-cell search — bit-identical to every
-/// scenario written before sharding existed.
+/// scenario written before sharding existed. Cells are fences within
+/// one placement call (see `dynaplace_apc::shard`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardingSpec {
     /// Nodes per cell (see `dynaplace_apc::ShardingPolicy::cell_size`).
     pub cell_size: usize,
-    /// Maximum cross-cell rebalance moves per cycle; `0` disables the
-    /// rebalancer.
-    #[serde(default = "default_rebalance_moves")]
-    pub rebalance_moves: usize,
-    /// Minimum global satisfaction gain a rebalance move must clear.
-    #[serde(default = "default_rebalance_threshold")]
-    pub rebalance_threshold: f64,
-}
-
-fn default_rebalance_moves() -> usize {
-    dynaplace_apc::ShardingPolicy::default().rebalance_moves
-}
-
-fn default_rebalance_threshold() -> f64 {
-    dynaplace_apc::ShardingPolicy::default().rebalance_threshold
 }
 
 impl ShardingSpec {
-    /// A spec with the given cell size and default rebalancing.
+    /// A spec with the given cell size.
     pub fn new(cell_size: usize) -> Self {
-        ShardingSpec {
-            cell_size,
-            rebalance_moves: default_rebalance_moves(),
-            rebalance_threshold: default_rebalance_threshold(),
-        }
+        ShardingSpec { cell_size }
     }
 
     fn to_policy(&self) -> dynaplace_apc::ShardingPolicy {
-        dynaplace_apc::ShardingPolicy {
-            cell_size: self.cell_size,
-            rebalance_moves: self.rebalance_moves,
-            rebalance_threshold: self.rebalance_threshold,
+        dynaplace_apc::ShardingPolicy::new(self.cell_size)
+    }
+}
+
+/// Memory `build` may commit up front to the node list, and again to the
+/// classic job list: 256 MiB each.
+const BUILD_BUDGET_BYTES: usize = 256 << 20;
+
+/// Bytes `build` commits per node (its `NodeSpec` and the engine's node
+/// state) and per classic job (its arrival instant, its `Submission` and
+/// the admitted application's state): the ≈380 B and ≈780 B of peak-RSS
+/// growth per entry that `simulate` shows between 100,000 and 200,000
+/// of them (x86-64 Linux, release build), rounded up.
+const BYTES_PER_NODE: usize = 512;
+const BYTES_PER_CLASSIC_JOB: usize = 1024;
+
+/// Most nodes a scenario may declare (524,288).
+pub const MAX_NODES: usize = BUILD_BUDGET_BYTES / BYTES_PER_NODE;
+
+/// Most classic (`jobs`) batch jobs a scenario may declare (262,144).
+/// Generated streams are admitted lazily and stay uncapped.
+pub const MAX_CLASSIC_JOBS: usize = BUILD_BUDGET_BYTES / BYTES_PER_CLASSIC_JOB;
+
+/// Sums `counts`, failing at the first entry (named by `field(index)`)
+/// that takes the total past `limit`.
+fn capped_total(
+    limit: usize,
+    counts: impl Iterator<Item = usize>,
+    field: impl Fn(usize) -> String,
+) -> Result<usize, ScenarioError> {
+    let mut total = 0usize;
+    for (i, count) in counts.enumerate() {
+        total = total.saturating_add(count);
+        if total > limit {
+            return Err(ScenarioError::TooMany {
+                field: field(i),
+                total,
+                limit,
+            });
         }
     }
+    Ok(total)
 }
 
 /// A structurally invalid scenario, detected at load time instead of as
@@ -666,11 +684,18 @@ pub enum ScenarioError {
         /// The negative value.
         value: f64,
     },
-    /// The node groups sum to more nodes than the `u32` id space (and
-    /// the sharded cell partitioner) can index.
-    TooManyNodes {
-        /// The declared total node count.
-        nodes: usize,
+    /// The node groups, or the classic job groups, sum to more entries
+    /// than `build` materializes up front ([`MAX_NODES`],
+    /// [`MAX_CLASSIC_JOBS`]). Such counts used to abort the process on
+    /// allocation failure instead of failing at load time.
+    TooMany {
+        /// Dotted path of the count that crosses the limit, e.g.
+        /// `nodes[0].count`.
+        field: String,
+        /// The running total at that field.
+        total: usize,
+        /// The limit it crosses.
+        limit: usize,
     },
     /// A job goal so short that a deadline set that long after an
     /// arrival rounds back onto the arrival instant itself (in `f64`
@@ -761,12 +786,15 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::NegativeNumber { field, value } => {
                 write!(f, "{field} must be >= 0, got {value}")
             }
-            ScenarioError::TooManyNodes { nodes } => {
-                write!(
-                    f,
-                    "scenario declares {nodes} nodes, more than the u32 node-id space can index"
-                )
-            }
+            ScenarioError::TooMany {
+                field,
+                total,
+                limit,
+            } => write!(
+                f,
+                "{field} brings the total to {total}, more than the {limit} a build can \
+                 materialize"
+            ),
             ScenarioError::GoalTooShort {
                 field,
                 value,
@@ -900,8 +928,9 @@ impl ScenarioSpec {
 
     /// Checks the scenario's structural consistency: at least one node
     /// (an all-`count: 0` fleet is as empty as no `nodes` list at all),
-    /// a node total the `u32` id space can index, every scripted node
-    /// failure inside the cluster, a convergent actuation failure rate,
+    /// node and classic job totals within [`MAX_NODES`] and
+    /// [`MAX_CLASSIC_JOBS`], every scripted node failure inside the
+    /// cluster, a convergent actuation failure rate,
     /// parallel jobs only under APC, a known trace level, finite values
     /// everywhere a number feeds simulated time (NaN arrivals or
     /// deadlines used to surface as panics inside the baseline
@@ -916,13 +945,20 @@ impl ScenarioSpec {
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let policy = self.resolve_scheduler()?;
         let is_apc = policy.class() == PolicyClass::Apc;
-        let nodes = self.node_count();
+        let nodes = capped_total(MAX_NODES, self.nodes.iter().map(|g| g.count), |i| {
+            format!("nodes[{i}].count")
+        })?;
         if nodes == 0 {
             return Err(ScenarioError::NoNodes);
         }
-        if nodes > u32::MAX as usize {
-            return Err(ScenarioError::TooManyNodes { nodes });
-        }
+        capped_total(
+            MAX_CLASSIC_JOBS,
+            self.jobs.iter().map(JobGroupSpec::job_count),
+            |i| match self.jobs[i].arrivals {
+                ArrivalSpec::At(_) => format!("jobs[{i}].arrivals.at"),
+                _ => format!("jobs[{i}].count"),
+            },
+        )?;
         for (failure_index, failure) in self.node_failures.iter().enumerate() {
             if failure.node as usize >= nodes {
                 return Err(ScenarioError::NodeFailureOutOfRange {
@@ -951,14 +987,6 @@ impl ScenarioSpec {
             if sharding.cell_size == 0 {
                 return Err(ScenarioError::InvalidSharding {
                     message: "cell_size must be at least 1".to_string(),
-                });
-            }
-            if !sharding.rebalance_threshold.is_finite() || sharding.rebalance_threshold < 0.0 {
-                return Err(ScenarioError::InvalidSharding {
-                    message: format!(
-                        "rebalance_threshold must be finite and >= 0, got {}",
-                        sharding.rebalance_threshold
-                    ),
                 });
             }
         }
@@ -2223,11 +2251,7 @@ impl FromJson for TraceSpec {
 
 impl ToJson for ShardingSpec {
     fn to_json(&self) -> Json {
-        obj([
-            ("cell_size", self.cell_size.to_json()),
-            ("rebalance_moves", self.rebalance_moves.to_json()),
-            ("rebalance_threshold", self.rebalance_threshold.to_json()),
-        ])
+        obj([("cell_size", self.cell_size.to_json())])
     }
 }
 
@@ -2235,9 +2259,6 @@ impl FromJson for ShardingSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(ShardingSpec {
             cell_size: v.field("cell_size")?,
-            rebalance_moves: v.field_or_else("rebalance_moves", default_rebalance_moves)?,
-            rebalance_threshold: v
-                .field_or_else("rebalance_threshold", default_rebalance_threshold)?,
         })
     }
 }
@@ -2512,7 +2533,6 @@ mod tests {
         let back = ScenarioSpec::from_json_str(&spec.to_json_string()).unwrap();
         assert_eq!(back.sharding, spec.sharding);
 
-        // Omitted rebalance fields fall back to the policy defaults.
         let json = r#"{
             "scheduler": "apc", "cycle_secs": 10.0,
             "nodes": [{ "count": 2, "cpu_mhz": 2000.0, "memory_mb": 4000.0 }],
@@ -2532,16 +2552,6 @@ mod tests {
         baseline.sharding = Some(ShardingSpec::new(1));
         assert!(matches!(
             baseline.validate(),
-            Err(ScenarioError::InvalidSharding { .. })
-        ));
-        let mut nan = minimal("apc");
-        nan.sharding = Some(ShardingSpec {
-            cell_size: 1,
-            rebalance_moves: 2,
-            rebalance_threshold: f64::NAN,
-        });
-        assert!(matches!(
-            nan.validate(),
             Err(ScenarioError::InvalidSharding { .. })
         ));
     }
@@ -2863,22 +2873,32 @@ mod tests {
     }
 
     #[test]
-    fn node_total_beyond_u32_id_space_is_rejected() {
+    fn node_and_classic_job_totals_are_capped_at_the_build_budget() {
+        // Totals sum across groups; the error names the crossing count.
         let mut spec = minimal("apc");
-        spec.nodes[0].count = u32::MAX as usize;
-        spec.nodes.push(NodeGroupSpec {
-            count: 2,
-            name: None,
-            cpu_mhz: 1_000.0,
-            memory_mb: 1_000.0,
-            resources: BTreeMap::new(),
-        });
+        spec.nodes.push(spec.nodes[0].clone());
+        spec.nodes[0].count = MAX_NODES - 1;
+        spec.nodes[1].count = 1;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.nodes[1].count = usize::MAX;
         assert_eq!(
             spec.validate(),
-            Err(ScenarioError::TooManyNodes {
-                nodes: u32::MAX as usize + 2,
+            Err(ScenarioError::TooMany {
+                field: "nodes[1].count".to_string(),
+                total: usize::MAX,
+                limit: MAX_NODES,
             })
         );
+
+        let mut spec = minimal("apc");
+        spec.jobs[0].count = MAX_CLASSIC_JOBS;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.jobs[0].count = 2_000_000_000;
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().starts_with("jobs[0].count "), "{err}");
+        // Explicit arrival lists count their instants, not `count`.
+        spec.jobs[0].arrivals = ArrivalSpec::At(vec![0.0; 3]);
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

@@ -665,11 +665,7 @@ pub fn gen_scenario(rng: &mut TestRng, profile: &GenProfile) -> ScenarioSpec {
     };
 
     let sharding = if profile.sharding && apc && chance(rng, 3) {
-        Some(ShardingSpec {
-            cell_size: int(rng, 1, node_count + 1),
-            rebalance_moves: int(rng, 0, 4),
-            rebalance_threshold: f8(rng, 0.0, 0.1),
-        })
+        Some(ShardingSpec::new(int(rng, 1, node_count + 1)))
     } else {
         None
     };

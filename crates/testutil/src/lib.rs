@@ -251,18 +251,6 @@ pub fn assert_placement_valid(
     }
 }
 
-/// Renders a placement as a compact, diff-friendly listing — one
-/// `app@node xN` per line, sorted. Shared by golden tests and failure
-/// reports so mismatches read well.
-pub fn render_placement(placement: &Placement) -> String {
-    let mut lines: Vec<String> = placement
-        .iter()
-        .map(|(app, node, count)| format!("a{}@n{} x{}", app.index(), node.index(), count))
-        .collect();
-    lines.sort();
-    lines.join("\n")
-}
-
 /// Renders the per-(app, node) differences between two placements.
 pub fn render_placement_diff(before: &Placement, after: &Placement) -> String {
     let mut keys: Vec<(AppId, NodeId)> = before

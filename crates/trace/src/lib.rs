@@ -466,7 +466,8 @@ pub enum TraceEvent {
         reason: EscalationReason,
     },
     /// The cross-cell rebalancer tried moving a worst-satisfied app from
-    /// a saturated cell to a slack cell.
+    /// a saturated cell to a slack cell. No longer emitted: cells are
+    /// fences; the variant stays so older traces still decode.
     RebalanceMove {
         /// Sim time of the pass.
         time: f64,

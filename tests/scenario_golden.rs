@@ -469,8 +469,9 @@ fn license_dimension_forces_a_spread_memory_would_not() {
     );
 }
 
-/// The sharding acceptance bar on quality: cell-scoped solving plus
-/// cross-cell rebalancing may not cost satisfaction. The same scenario
+/// The sharding acceptance bar on quality: cell-scoped solving behind
+/// cell fences (no app crosses a cell within one placement) may not
+/// cost satisfaction. The same scenario
 /// runs once as checked in (sharded) and once with sharding stripped;
 /// the sharded run must complete every job the whole-cluster run does
 /// and keep the mean final relative performance within noise of it.
